@@ -8,11 +8,11 @@ Usage::
 Writes ``benchmarks/results/baseline_fig10.json`` and
 ``benchmarks/results/baseline_fig11.json``.
 
-Baselines are normally captured with the serial backend (the default) and
-the logical optimizer off, so a subsequent ``REPRO_BENCH_BACKEND=process``
-and/or ``REPRO_BENCH_OPTIMIZE=1`` benchmark run measures the multi-core or
-optimizer speedup against them; the backend and optimizer flags used are
-recorded in the file's ``backend`` block.
+Baselines are normally captured on the row engine with the logical
+optimizer off, so a subsequent ``REPRO_BENCH_ENGINE=columnar`` and/or
+``REPRO_BENCH_OPTIMIZE=1`` benchmark run measures the engine or optimizer
+speedup against them; the flags used are recorded in the file's ``config``
+block.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from harness import RESULTS_DIR, backend_info, time_explain, time_query  # noqa: E402
+from harness import RESULTS_DIR, run_config, time_explain, time_query  # noqa: E402
 
 FIG10_SCENARIOS = ["Q1", "Q3", "Q4", "Q6", "Q10", "Q13"]
 FIG10_SCALE = 60
@@ -108,7 +108,7 @@ def main() -> int:
         payload = {
             "tag": args.tag,
             "figure": fig,
-            "backend": backend_info(),
+            "config": run_config(),
             "series": measure(args.rounds),
         }
         path = RESULTS_DIR / f"baseline_{fig}.json"

@@ -14,22 +14,12 @@ series plus — when a ``baseline_<figure>.json`` exists (captured with
 baseline timings and derived speedups.  This keeps the perf trajectory of
 the evaluation core observable across PRs; see ROADMAP.md §Performance.
 
-Backend knobs
--------------
+Run knobs
+---------
 
-``REPRO_BENCH_BACKEND`` / ``REPRO_BENCH_WORKERS`` select the execution
-backend that the timed runs use (default: serial).  The chosen backend is
-recorded in every ``BENCH_*.json`` payload, so a parallel run against a
-serial-captured baseline yields the multi-core speedup directly in
-``rp_speedups`` / ``rp_speedup_aggregate``::
-
-    PYTHONPATH=src python benchmarks/capture_baseline.py          # serial
-    REPRO_BENCH_BACKEND=process REPRO_BENCH_WORKERS=4 \
-        PYTHONPATH=src python -m pytest benchmarks/test_fig10_tpch_runtime.py -q
-
-``REPRO_BENCH_OPTIMIZE=1`` additionally runs the logical plan optimizer
+``REPRO_BENCH_OPTIMIZE=1`` runs the logical plan optimizer
 (:mod:`repro.engine.optimizer`) on the timed answer path; the flag is
-recorded in the payloads, and the Figure-10 series always measures the plain
+recorded in the payloads' ``config`` stanza, and the Figure-10 series always measures the plain
 query both optimizer-off and optimizer-on (``query_s`` vs ``query_opt_s``)
 so every ``BENCH_fig10.json`` carries the on-vs-off comparison.
 
@@ -54,7 +44,6 @@ from typing import Any, Optional
 
 from repro.baselines.common import build_s1_trace
 from repro.baselines.wnpp import wnpp_explain
-from repro.engine.backends import get_backend
 from repro.engine.columnar import resolve_engine
 from repro.engine.executor import Executor
 from repro.scenarios import get_scenario
@@ -63,14 +52,6 @@ from repro.whynot.explain import explain
 SCALE_STEPS = [20, 40, 60, 80, 100]
 
 RESULTS_DIR = Path(__file__).parent / "results"
-
-
-def bench_backend():
-    """The backend the timed runs use (``REPRO_BENCH_BACKEND``, default serial)."""
-    name = os.environ.get("REPRO_BENCH_BACKEND") or "serial"
-    workers_env = os.environ.get("REPRO_BENCH_WORKERS")
-    workers = int(workers_env) if workers_env else None
-    return get_backend(name, workers)
 
 
 def bench_optimize() -> bool:
@@ -88,15 +69,9 @@ def bench_engine() -> str:
     return resolve_engine(os.environ.get("REPRO_BENCH_ENGINE") or "row")
 
 
-def backend_info() -> dict:
-    """Backend/optimizer/engine metadata embedded into the BENCH payloads."""
-    backend = bench_backend()
-    return {
-        "name": backend.name,
-        "workers": backend.workers,
-        "optimize": bench_optimize(),
-        "engine": bench_engine(),
-    }
+def run_config() -> dict:
+    """Optimizer/engine metadata embedded into the BENCH payloads."""
+    return {"optimize": bench_optimize(), "engine": bench_engine()}
 
 
 def write_result(name: str, text: str) -> None:
@@ -128,7 +103,7 @@ def emit_fig10_bench(series: "list[dict]") -> dict:
     baseline = load_baseline("fig10")
     payload: dict[str, Any] = {
         "figure": "fig10",
-        "backend": backend_info(),
+        "config": run_config(),
         "series": series,
     }
     if any("query_opt_s" in row for row in series):
@@ -202,7 +177,7 @@ def emit_fig11_bench(series: "list[dict]") -> dict:
         }
     payload: dict[str, Any] = {
         "figure": "fig11",
-        "backend": backend_info(),
+        "config": run_config(),
         "series": series,
         "growth": growth,
     }
@@ -245,15 +220,12 @@ def _gc_paused():
             gc.enable()
 
 
-def time_query(
-    scenario_name: str, scale: int, backend=None, optimize=None, engine=None
-) -> float:
+def time_query(scenario_name: str, scale: int, optimize=None, engine=None) -> float:
     """Wall time of the plain (partitioned) execution of the scenario query."""
     scenario = get_scenario(scenario_name)
     question = scenario.question(scale)
     executor = Executor(
         num_partitions=4,
-        backend=backend if backend is not None else bench_backend(),
         optimize=optimize if optimize is not None else bench_optimize(),
         engine=engine if engine is not None else bench_engine(),
     )
@@ -268,7 +240,6 @@ def time_explain(
     scale: int,
     with_sas: bool = True,
     alternatives=None,
-    backend=None,
     optimize=None,
     engine=None,
 ) -> tuple[float, int]:
@@ -282,7 +253,6 @@ def time_explain(
         alternatives=groups,
         use_schema_alternatives=with_sas,
         validate=False,
-        backend=backend if backend is not None else bench_backend(),
         optimize=optimize if optimize is not None else bench_optimize(),
         engine=engine if engine is not None else bench_engine(),
     )

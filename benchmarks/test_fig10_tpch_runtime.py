@@ -8,7 +8,6 @@ relative to their own plain queries).
 import pytest
 
 from harness import (
-    bench_backend,
     emit_fig10_bench,
     time_explain,
     time_query,
@@ -87,11 +86,6 @@ def test_fig10_series(benchmark):
 
     # Shape assertions: tracing always costs more than running the query,
     # and the full algorithm costs at least as much as the SA-free variant.
-    # These describe the algorithms, so they are checked in the reference
-    # (serial) configuration only — under REPRO_BENCH_BACKEND=process the
-    # per-approach ratios additionally reflect IPC overhead and core count.
-    if bench_backend().name != "serial":
-        pytest.skip("paper-shape ratio assertions are serial-reference-only")
     for name, (query_s, _query_opt_s, nosa_s, rp_s, n_sas) in rows.items():
         assert nosa_s > query_s, f"{name}: RPnoSA should exceed the plain query"
         assert rp_s >= nosa_s * 0.8, f"{name}: RP should not undercut RPnoSA"

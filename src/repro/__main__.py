@@ -4,7 +4,6 @@ Usage::
 
     python -m repro list                     # all registered scenarios
     python -m repro run Q10 [--scale 60]     # one scenario, all approaches
-    python -m repro run Q10 --backend process --workers 4   # multi-core
     python -m repro run Q10 --optimize       # optimized answer path
     python -m repro run Q10 --show-plan      # original vs optimized plan
     python -m repro run --query-file f.rq    # run a textual .rq program
@@ -24,10 +23,6 @@ explanations up into ontology-aware summary groups
 (:mod:`repro.whynot.summarize`); ``--hierarchy FILE`` supplies a concept
 hierarchy document and ``--max-summaries N`` bounds the group count.
 
-``--backend serial`` (default) evaluates in-process; ``--backend process``
-fans the partitioned execution and SA-group tracing out across worker
-processes (see ``docs/ARCHITECTURE.md``).  Results are identical on both.
-
 ``--optimize`` / ``--no-optimize`` toggle the logical plan optimizer for the
 answer path (default: the ``REPRO_OPTIMIZE`` environment variable; see
 ``docs/OPTIMIZER.md``) — explanations are identical either way.
@@ -36,8 +31,8 @@ per-rule provenance annotations before running it.
 
 ``fuzz`` runs the seeded differential-testing sweep of :mod:`repro.fuzz`
 (see ``docs/FUZZING.md``): random nested databases and plans are checked
-across ``Query.evaluate`` × backends × optimizer on/off × partition counts
-× row/columnar engines;
+across ``Query.evaluate`` × optimizer on/off × partition counts ×
+row/columnar engines;
 any divergence is shrunk to a minimal repro and (with ``--corpus-dir``)
 written as a corpus JSON file ready to pin as a regression test.  Exit code
 1 signals at least one divergence.
@@ -61,8 +56,8 @@ front end (:mod:`repro.api.sharded`): N pre-forked workers, consistent-hash
 request routing, in-flight coalescing, queue-depth 503 backpressure and
 automatic crash respawn (``docs/SERVING.md``).
 
-Count-like flags (``--workers``, ``--partitions``, ``--cases``, ``--depth``,
-``--rows``, ``--ops``, ``--cache-size``) validate their values up front:
+Count-like flags (``--partitions``, ``--cases``, ``--depth``, ``--rows``,
+``--ops``, ``--cache-size``, ``--processes``) validate their values up front:
 zero or negative counts fail with a usage error instead of a traceback from
 deep inside the executor.
 """
@@ -152,12 +147,7 @@ def _run_query_file(args: argparse.Namespace) -> int:
         print_explanation(
             lowered,
             db,
-            dict(
-                backend=args.backend,
-                workers=args.workers,
-                optimize=args.optimize,
-                engine=args.engine,
-            ),
+            dict(optimize=args.optimize, engine=args.engine),
         )
     else:
         print_result(lowered, db)
@@ -185,8 +175,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     run = run_scenario(
         scenario,
         scale=args.scale,
-        backend=args.backend,
-        workers=args.workers,
         optimize=args.optimize,
         engine=args.engine,
     )
@@ -273,8 +261,6 @@ def _cmd_table7(args: argparse.Namespace) -> int:
         run = run_scenario(
             name,
             scale=args.scale,
-            backend=args.backend,
-            workers=args.workers,
             optimize=args.optimize,
             engine=args.engine,
         )
@@ -291,11 +277,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz.serialize import dump_case
 
     config = FuzzConfig(depth=args.depth, rows=args.rows, ops=args.ops)
-    backends = ("serial", "process") if args.backend == "both" else (args.backend,)
     engines = ("row", "columnar") if args.engine is None else (args.engine,)
-    explain_grid = [
-        (b, opt, e) for b in backends for opt in (False, True) for e in engines
-    ]
+    explain_grid = [(opt, e) for opt in (False, True) for e in engines]
     if args.mutations:
         from repro.fuzz.mutations import run_mutation_sweep
 
@@ -303,7 +286,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             f"mutation fuzzing: seed={args.seed} cases={args.cases} "
             f"steps={args.mutation_steps} depth={args.depth} rows={args.rows} "
             f"ops={args.ops} partitions={args.partitions[-1]} "
-            f"backends={'+'.join(backends)} engines={'+'.join(engines)}"
+            f"engines={'+'.join(engines)}"
         )
         result = run_mutation_sweep(
             args.seed,
@@ -311,9 +294,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             config,
             steps=args.mutation_steps,
             questions=not args.no_questions,
-            backends=backends,
             engines=engines,
-            workers=args.workers,
             num_partitions=args.partitions[-1],
         )
         for case, report in result.failures:
@@ -325,8 +306,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 0 if result.ok else 1
     oracle_options = dict(
         partitions=args.partitions,
-        backends=backends,
-        workers=args.workers,
         engines=engines,
         explain_grid=explain_grid,
         grammar=args.text,
@@ -334,7 +313,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     print(
         f"fuzzing: seed={args.seed} cases={args.cases} depth={args.depth} "
         f"rows={args.rows} ops={args.ops} partitions={','.join(map(str, args.partitions))} "
-        f"backends={'+'.join(backends)} engines={'+'.join(engines)}"
+        f"engines={'+'.join(engines)}"
         f"{' grammar=on' if args.text else ''}"
     )
     result = run_sweep(
@@ -362,8 +341,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             found_by = (
                 f"python -m repro fuzz --seed {args.seed} --cases {args.cases} "
                 f"--depth {args.depth} --rows {args.rows} --ops {args.ops} "
-                f"--partitions {','.join(map(str, args.partitions))} "
-                f"--backend {args.backend}"
+                f"--partitions {','.join(map(str, args.partitions))}"
                 + (f" --engine {args.engine}" if args.engine else "")
                 + (" --text" if args.text else "")
             )
@@ -405,12 +383,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
     return run_repl(
         scenario=args.scenario,
         scale=args.scale,
-        options=dict(
-            backend=args.backend,
-            workers=args.workers,
-            optimize=args.optimize,
-            engine=args.engine,
-        ),
+        options=dict(optimize=args.optimize, engine=args.engine),
     )
 
 
@@ -422,12 +395,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             processes=args.processes,
             queue_depth=args.queue_depth,
             cache_size=args.cache_size,
-            options=dict(
-                backend=args.backend,
-                workers=args.workers,
-                optimize=args.optimize,
-                engine=args.engine,
-            ),
+            options=dict(optimize=args.optimize, engine=args.engine),
         )
         return serve_sharded(
             host=args.host, port=args.port, config=config, quiet=args.quiet
@@ -437,12 +405,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     service = ExplanationService(
         cache_size=args.cache_size,
-        options=ExplainOptions(
-            backend=args.backend,
-            workers=args.workers,
-            optimize=args.optimize,
-            engine=args.engine,
-        ),
+        options=ExplainOptions(optimize=args.optimize, engine=args.engine),
     )
     return serve(host=args.host, port=args.port, service=service, quiet=args.quiet)
 
@@ -455,19 +418,7 @@ def main(argv=None) -> int:
 
     sub.add_parser("list", help="list all registered scenarios")
 
-    def add_backend_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--backend",
-            choices=("serial", "process"),
-            default=None,
-            help="execution backend (default: REPRO_BACKEND or serial)",
-        )
-        p.add_argument(
-            "--workers",
-            type=_positive_int,
-            default=None,
-            help="worker processes for --backend process (default: all cores)",
-        )
+    def add_engine_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--optimize",
             action=argparse.BooleanOptionalAction,
@@ -522,7 +473,7 @@ def main(argv=None) -> int:
         default=8,
         help="summary group budget for --summarize (default 8)",
     )
-    add_backend_flags(run_parser)
+    add_engine_flags(run_parser)
 
     gen_parser = sub.add_parser(
         "generate",
@@ -554,11 +505,11 @@ def main(argv=None) -> int:
     repl_parser.add_argument(
         "--scale", type=_positive_int, default=None, help="database scale for --scenario"
     )
-    add_backend_flags(repl_parser)
+    add_engine_flags(repl_parser)
 
     t7 = sub.add_parser("table7", help="regenerate the Table-7 summary")
     t7.add_argument("--scale", type=int, default=40)
-    add_backend_flags(t7)
+    add_engine_flags(t7)
 
     fuzz = sub.add_parser(
         "fuzz", help="run the seeded differential fuzz sweep (docs/FUZZING.md)"
@@ -581,18 +532,6 @@ def main(argv=None) -> int:
         type=_partition_list,
         default=(1, 3, 7),
         help="comma-separated partition counts to cross-check (default 1,3,7)",
-    )
-    fuzz.add_argument(
-        "--backend",
-        choices=("serial", "process", "both"),
-        default="both",
-        help="executor backends to cross-check (default both)",
-    )
-    fuzz.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=2,
-        help="worker processes for the process backend (default 2)",
     )
     fuzz.add_argument(
         "--engine",
@@ -670,7 +609,7 @@ def main(argv=None) -> int:
     serve_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-request access logs"
     )
-    add_backend_flags(serve_parser)
+    add_engine_flags(serve_parser)
 
     args = parser.parse_args(argv)
     if args.command == "list":

@@ -101,22 +101,6 @@ class Expr:
         """
         raise KernelUnsupported(type(self).__name__)
 
-    def __getstate__(self):
-        """Pickle without the compiled closure (workers re-compile lazily).
-
-        Subclasses keep their parameters in ``__slots__`` while the compiled
-        cache lives in the instance ``__dict__`` (inherited from this
-        slot-less base), so the state is the standard ``(dict, slots)`` pair
-        with ``_compiled`` filtered out of the dict part.
-        """
-        d = {k: v for k, v in self.__dict__.items() if k != "_compiled"}
-        slots = {}
-        for cls in type(self).__mro__:
-            for name in getattr(cls, "__slots__", ()):
-                if hasattr(self, name):
-                    slots[name] = getattr(self, name)
-        return (d or None, slots)
-
     def attr_paths(self) -> list[Path]:
         """All attribute paths referenced by this expression (with duplicates,
         one entry per reference — Table 2 treats repeated references to the

@@ -168,18 +168,6 @@ class Operator:
     def __repr__(self) -> str:
         return self.describe()
 
-    def __getstate__(self) -> dict:
-        """Pickle without the lazily compiled closures.
-
-        ``_compiled_*`` caches hold plain Python closures, which do not
-        pickle; the parallel process backend ships operators to workers and
-        lets each worker re-compile on first use (the caches are pure
-        derivations of the immutable parameters).
-        """
-        return {
-            k: v for k, v in self.__dict__.items() if not k.startswith("_compiled")
-        }
-
 
 def _compile_key(paths: "tuple[Path, ...]") -> "Callable[[Tup], Optional[tuple]]":
     """Compile join/group key paths into one row→key closure.
@@ -1643,14 +1631,6 @@ class Query:
 
         walk(self.root, "", True, True)
         return "\n".join(lines)
-
-    def __getstate__(self) -> dict:
-        """Pickle without the schema/plan caches (they pin database references)."""
-        return {
-            k: v
-            for k, v in self.__dict__.items()
-            if k not in ("_schema_cache", "_optimize_cache")
-        }
 
     def __repr__(self) -> str:
         return f"Query({self.root.describe()}, ops={len(self.ops)})"

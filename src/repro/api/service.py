@@ -19,14 +19,13 @@ north star asks for.  It owns
   wire encoding, with hit/miss counters surfaced in every response.  The
   key covers everything that determines the *explanations* (query, NIP,
   database content, alternatives, SA toggles); execution-only knobs
-  (backend, workers, partitions, optimize) are excluded because the engine's
+  (partitions, optimize, engine) are excluded because the engine's
   equivalence guarantees make results independent of them — the same cached
   entry serves all of them, and the differential fuzz oracle cross-checks
   the service against direct :func:`~repro.whynot.explain.explain` to keep
   that assumption honest;
 * **concurrent dispatch** — :meth:`ExplanationService.submit` fans requests
-  out over a thread pool; each request still uses the configured execution
-  backend (:mod:`repro.engine.backends`) underneath.
+  out over a thread pool; each request evaluates in the calling process.
 
 :func:`~repro.whynot.explain.explain` remains the in-process computational
 core; the service wraps it (and the scenario registry) with the request
@@ -42,12 +41,14 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional, Sequence
 
+from repro.engine.columnar import ENGINE_NAMES
 from repro.engine.database import Database, Mutation
 from repro.engine.deltas import read_tables
 from repro.engine.executor import Executor
 from repro.engine.hashing import stable_hash
 from repro.engine.metrics import ExecutionMetrics
 from repro.nested.values import Bag
+from repro.whynot.alternatives import TooManyAlternatives
 from repro.whynot.explain import WhyNotResult, explain
 from repro.whynot.matching import matching_tuples
 from repro.whynot.question import IllPosedQuestion, WhyNotQuestion
@@ -107,20 +108,30 @@ class BadRequest(ValueError):
     """Raised when a request payload is structurally invalid or incomplete."""
 
 
+#: Option fields of wire format 2 that no longer select anything; requests
+#: may still carry them and :meth:`ExplainOptions.from_json` drops them.
+LEGACY_OPTION_FIELDS = ("backend", "workers")
+
+
+def _is_count(value: Any) -> bool:
+    """True for a JSON integer >= 1 (``bool`` is not an integer here)."""
+    return type(value) is int and value >= 1
+
+
 @dataclass(frozen=True)
 class ExplainOptions:
     """Execution and algorithm knobs of one explain request.
 
-    ``backend``/``workers``/``optimize``/``engine`` select *how* the engine
-    runs (and default to the ``REPRO_BACKEND``/``REPRO_OPTIMIZE``/
-    ``REPRO_ENGINE`` environment, like the CLI); ``partitions`` applies to
+    ``optimize``/``engine`` select *how* the engine runs (and default to the
+    ``REPRO_OPTIMIZE``/``REPRO_ENGINE`` environment, like the CLI);
+    ``partitions`` applies to
     plain query evaluation only (:meth:`ExplanationService.query` /
     ``POST /v1/query`` — the explain pipeline's tracing step manages its own
     partitioning); ``use_schema_alternatives``/``revalidate``/``max_sas``
     select *what* is computed (the paper's RP vs RPnoSA vs no-revalidation
     ablation) and therefore participate in the cache key.  ``engine`` is an
     execution-only knob — explanations are engine-invariant, so it stays out
-    of the cache key like ``backend``.
+    of the cache key.
 
     ``summarize`` requests ontology-aware explanation summaries
     (:mod:`repro.whynot.summarize`): ``None`` (default) skips them, ``True``
@@ -131,8 +142,6 @@ class ExplainOptions:
     changes response content, so it participates in the cache key.
     """
 
-    backend: Optional[str] = None
-    workers: Optional[int] = None
     partitions: Optional[int] = None
     optimize: Optional[bool] = None
     engine: Optional[str] = None
@@ -162,8 +171,6 @@ class ExplainOptions:
     def to_json(self) -> dict:
         """Encode as a plain JSON object (all fields, defaults included)."""
         return {
-            "backend": self.backend,
-            "workers": self.workers,
             "partitions": self.partitions,
             "optimize": self.optimize,
             "engine": self.engine,
@@ -175,13 +182,41 @@ class ExplainOptions:
 
     @classmethod
     def from_json(cls, data: Optional[dict]) -> "ExplainOptions":
-        """Decode :meth:`to_json` output; unknown fields are rejected."""
+        """Decode :meth:`to_json` output, validating every field.
+
+        Unknown fields and ill-typed values raise :class:`BadRequest`.  The
+        legacy ``backend`` (``"serial"``/``"process"``) and ``workers``
+        (a positive integer) fields are accepted and dropped; ``max_sas:
+        null`` means the default.
+        """
         if data is None:
             return cls()
-        extra = set(data) - set(cls.__dataclass_fields__)
+        if not isinstance(data, dict):
+            raise BadRequest("options must be a JSON object")
+        extra = set(data) - set(cls.__dataclass_fields__) - set(LEGACY_OPTION_FIELDS)
         if extra:
             raise BadRequest(f"unknown option fields: {sorted(extra)}")
-        return cls(**data)
+        nullable = (
+            ("backend", lambda v: v in ("serial", "process"), "'serial' or 'process'"),
+            ("workers", _is_count, "a positive integer"),
+            ("partitions", _is_count, "a positive integer"),
+            ("max_sas", _is_count, "a positive integer"),
+            ("optimize", lambda v: isinstance(v, bool), "a boolean"),
+            ("engine", lambda v: v in ENGINE_NAMES, f"one of {list(ENGINE_NAMES)}"),
+        )
+        for name, ok, expected in nullable:
+            value = data.get(name)
+            if value is not None and not ok(value):
+                raise BadRequest(f"option {name!r} must be {expected} or null, got {value!r}")
+        for name in ("use_schema_alternatives", "revalidate"):
+            if name in data and not isinstance(data[name], bool):
+                raise BadRequest(f"option {name!r} must be a boolean, got {data[name]!r}")
+        fields = {
+            k: v
+            for k, v in data.items()
+            if k not in LEGACY_OPTION_FIELDS and not (k == "max_sas" and v is None)
+        }
+        return cls(**fields)
 
 
 @dataclass
@@ -634,8 +669,6 @@ class ExplanationService:
             revalidate=options.revalidate,
             max_sas=options.max_sas,
             validate=False,
-            backend=options.backend or self.default_options.backend,
-            workers=options.workers or self.default_options.workers,
             optimize=(
                 options.optimize
                 if options.optimize is not None
@@ -683,14 +716,13 @@ class ExplanationService:
         """Evaluate a plain query through the partitioned executor.
 
         Returns ``(result bag, execution metrics)``; ``options`` selects
-        backend/workers/partitions/optimize for this run.
+        partitions/optimize/engine for this run, each falling back to the
+        service's default options and then to the built-in default.
         """
         options = options or self.default_options
         db = self.database(database) if isinstance(database, str) else database
         executor = Executor(
-            num_partitions=options.partitions or 4,
-            backend=options.backend or self.default_options.backend,
-            workers=options.workers or self.default_options.workers,
+            num_partitions=options.partitions or self.default_options.partitions or 4,
             optimize=(
                 options.optimize
                 if options.optimize is not None
@@ -726,4 +758,11 @@ class ExplanationService:
 
 
 #: Error types the HTTP layer maps to 4xx responses.
-CLIENT_ERRORS = (BadRequest, UnknownDatabase, IllPosedQuestion, ValueError, KeyError)
+CLIENT_ERRORS = (
+    BadRequest,
+    UnknownDatabase,
+    IllPosedQuestion,
+    TooManyAlternatives,
+    ValueError,
+    KeyError,
+)

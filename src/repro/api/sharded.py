@@ -71,6 +71,7 @@ from repro.api.service import (
     ExplainOptions,
     ExplainRequest,
     ExplanationService,
+    LEGACY_OPTION_FIELDS,
     UnknownDatabase,
     scenarios_listing,
 )
@@ -84,8 +85,9 @@ from repro.wire import (
 )
 
 #: Option fields that change explanation *content*; everything else
-#: (backend/workers/partitions/optimize/engine) is execution-only and is
-#: stripped from explain routing keys so equivalent requests co-locate.
+#: (partitions/optimize/engine and the legacy backend/workers) is
+#: execution-only and is stripped from explain routing keys so equivalent
+#: requests co-locate.
 SEMANTIC_OPTION_FIELDS = ("use_schema_alternatives", "revalidate", "max_sas", "summarize")
 
 
@@ -111,7 +113,7 @@ class ShardedConfig:
     bound per request (a stuck worker yields a 503, never a hang), and
     ``retry_after`` the hint sent with every 503.  ``options`` holds the
     default execution knobs each worker's service runs with
-    (``backend``/``workers``/``optimize``/``engine``).
+    (``optimize``/``engine``).
     """
 
     processes: int = 2
@@ -138,22 +140,29 @@ def routing_key(document: dict) -> int:
     """The shard/coalescing key of one ``/v1`` request document.
 
     Canonicalizes the parsed JSON document (sorted keys), strips the
-    display-only ``name`` and — for explain requests — every execution-only
-    option (the engine's equivalence guarantees make results independent of
-    them), then applies :func:`~repro.engine.hashing.stable_hash`.  Two
-    requests that must produce the same explanations therefore always get
-    the same key: they route to the same worker (cache locality) and
-    coalesce when concurrent.  Query requests keep their options verbatim
-    because execution knobs are visible in their metrics payload.
+    display-only ``name``, the legacy ``backend``/``workers`` options and —
+    for explain requests — every execution-only option (the engine's
+    equivalence guarantees make results independent of them), then applies
+    :func:`~repro.engine.hashing.stable_hash`.  An ``options`` object left
+    empty is dropped, so it keys like a request without one.  Two requests
+    that must produce the same explanations therefore always get the same
+    key: they route to the same worker (cache locality) and coalesce when
+    concurrent.  Query requests keep their other options verbatim because
+    those execution knobs are visible in their metrics payload.
     """
     doc = dict(document)
     doc.pop("name", None)
-    if doc.get("kind") == "explain-request":
-        options = doc.get("options")
-        if isinstance(options, dict):
-            doc["options"] = {
-                k: options[k] for k in SEMANTIC_OPTION_FIELDS if k in options
-            }
+    options = doc.get("options")
+    if isinstance(options, dict):
+        if doc.get("kind") == "explain-request":
+            kept = SEMANTIC_OPTION_FIELDS
+        else:
+            kept = [k for k in options if k not in LEGACY_OPTION_FIELDS]
+        options = {k: options[k] for k in kept if k in options}
+        if options:
+            doc["options"] = options
+        else:
+            del doc["options"]
     return stable_hash(json.dumps(doc, sort_keys=True, ensure_ascii=True))
 
 
@@ -214,16 +223,6 @@ def _worker_main(
             os.close(fd)
         except OSError:
             pass
-    options = dict(options)
-    if options.get("backend") is None:
-        # The sharded front end parallelises across workers; inside one
-        # worker the default is serial evaluation regardless of
-        # REPRO_BACKEND.  A backend left unset would resolve from the
-        # environment and nest a process pool inside a forked, threaded
-        # worker — deadlock-prone and never faster than adding workers.
-        # An explicitly configured backend (CLI flag or per-request
-        # options) is still honoured.
-        options["backend"] = "serial"
     service = ExplanationService(
         cache_size=cache_size, options=ExplainOptions(**options)
     )
@@ -280,7 +279,7 @@ def _worker_main(
             break
     jobs.put(None)
     executor.join(timeout=5.0)
-    service.close()  # shut down backend pools so the process can exit
+    service.close()  # shut down the dispatch pool so the process can exit
     conn.close()
 
 
@@ -332,10 +331,8 @@ class _WorkerHandle:
             # child the fd numbers to close so EOF-on-parent-death works
             # (a spawn child inherits nothing, so nothing to close there).
             close_fds = tuple([parent_conn.fileno()] + list(self._leaked_fds()))
-        # Not a daemon: a worker's service may itself use the process
-        # backend (REPRO_BACKEND=process), and daemonic processes cannot
-        # have children.  Lifetime is managed explicitly instead — EOF on
-        # the pipe (front end gone) makes the worker exit, and
+        # Lifetime is managed explicitly rather than through the daemon
+        # flag: EOF on the pipe (front end gone) makes the worker exit, and
         # ``ShardDispatcher.close`` escalates shutdown → terminate → kill.
         self.process = self._ctx.Process(
             target=_worker_main,

@@ -2,16 +2,13 @@
 
 This is the reproduction's stand-in for Apache Spark (paper §6.1): a pure
 Python, partition-aware evaluator for NRAB plans with per-operator metrics,
-plus a Spark-like DataFrame façade for building plans fluently.  Execution
-is dispatched through pluggable backends (:mod:`repro.engine.backends`):
-``serial`` runs tasks inline, ``process`` fans them out across CPU cores
-with identical results.  Before execution, plans can pass through the
-explanation-preserving logical optimizer (:mod:`repro.engine.optimizer`):
-rule-based rewrites with provenance links back to the user's operators,
-identical results and identical why-not explanations guaranteed.
+plus a Spark-like DataFrame façade for building plans fluently.  Before
+execution, plans can pass through the explanation-preserving logical
+optimizer (:mod:`repro.engine.optimizer`): rule-based rewrites with
+provenance links back to the user's operators, identical results and
+identical why-not explanations guaranteed.
 """
 
-from repro.engine.backends import ExecutionBackend, get_backend
 from repro.engine.database import Database
 from repro.engine.executor import Executor, ExecutionMetrics
 from repro.engine.dataframe import DataFrame, Session
@@ -21,8 +18,6 @@ __all__ = [
     "Database",
     "Executor",
     "ExecutionMetrics",
-    "ExecutionBackend",
-    "get_backend",
     "DataFrame",
     "Session",
     "OptimizationReport",

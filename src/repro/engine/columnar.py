@@ -1,20 +1,21 @@
-"""Columnar batch evaluation: engine selection, kernel tasks, key batches.
+"""Columnar batch evaluation: engine selection, chain evaluation, key batches.
 
-This module is the glue between the executor's backend seam and the kernel
-code generator (:mod:`repro.engine.kernels`):
+This module is the glue between the executor and the kernel code generator
+(:mod:`repro.engine.kernels`):
 
 * **Engine knob.**  ``Executor(engine=...)``, ``explain(engine=...)``, the
   CLI's ``--engine`` flag and the ``REPRO_ENGINE`` environment variable pick
   between the ``row`` engine (the row-at-a-time oracle path) and the
   ``columnar`` engine.  Results are bit-identical either way — the
   differential fuzzer and the scenario equivalence suites enforce it.
-* **Kernel chain task.**  ``("kchain", op_ids, rows)`` replaces the row
-  path's ``("chain", ...)`` task when the columnar engine is active: the
-  partition is checked for a uniform row layout, lowered to (or fetched
-  from the cache as) one compiled kernel, and executed in a single call;
-  any :class:`~repro.engine.kernels.KernelBailout`, unsupported operator or
-  heterogeneous layout falls back to the row path *for that partition*,
-  which also reproduces the row path's exact error behaviour.
+* **Chain evaluation.**  :func:`row_chain` runs a fused narrow chain over
+  one partition row at a time.  :func:`kernel_chain` replaces it when the
+  columnar engine is active: the partition is checked for a uniform row
+  layout, lowered to (or fetched from the cache as) one compiled kernel,
+  and executed in a single call; any
+  :class:`~repro.engine.kernels.KernelBailout`, unsupported operator or
+  heterogeneous layout falls back to :func:`row_chain` *for that
+  partition*, which also reproduces the row path's exact error behaviour.
 * **Scatter shuffles.**  Wide operators keep their shuffle-based plans, but
   the per-row key closures are replaced by one-pass scatter routines that
   read the key columns straight out of the shared ``Layout`` positions,
@@ -66,18 +67,12 @@ def new_kernel_info() -> dict:
     return {"hits": 0, "misses": 0, "fallbacks": 0, "codegen_seconds": 0.0}
 
 
-def merge_kernel_info(total: dict, part: dict) -> None:
-    """Accumulate one task's kernel counters into the execution totals."""
-    for key, value in part.items():
-        total[key] = total.get(key, 0) + value
+def row_chain(ops: list, rows: list, ctx) -> "tuple[list, list]":
+    """Run a fused narrow chain over one partition, row at a time.
 
-
-def _row_chain(ops: list, rows: list, ctx) -> "tuple[list, list]":
-    """The row-at-a-time chain evaluation (the kernel fallback path).
-
-    Byte-identical to the ``("chain", ...)`` task in
-    :mod:`repro.engine.backends` — reimplemented here so the backends module
-    can depend on this one without a cycle.
+    Returns the chain's output rows plus one ``(op_id, rows_in, rows_out,
+    seconds)`` entry per operator.  This is the row engine and the kernel
+    path's fallback.
     """
     stats = []
     for op in ops:
@@ -88,44 +83,37 @@ def _row_chain(ops: list, rows: list, ctx) -> "tuple[list, list]":
     return rows, stats
 
 
-def task_kernel_chain(state, op_ids: "tuple[int, ...]", rows: list) -> Any:
-    """Evaluate a fused narrow chain over one partition, kernels first.
+def kernel_chain(ops: list, rows: list, ctx, memo: dict, info: dict) -> "tuple[list, list]":
+    """Run a fused narrow chain over one partition, kernels first.
 
-    Returns ``(rows, stats, info)`` — the row path's ``(rows, stats)`` plus
-    the kernel counter dict.  Empty partitions always take the row path (it
-    raises schema-resolution errors even on empty input, and kernels must
-    not mask them); populated partitions take it when the layout is not
-    uniform, the chain cannot be lowered, or the kernel bails out on a value
-    shape it cannot reproduce bit-identically.
+    Returns what :func:`row_chain` returns and adds the kernel counters to
+    *info*.  *memo* maps a row layout to its kernel for this chain; the
+    caller keeps one per chain per execution, so the (semantic) global cache
+    key is built once per layout and every further partition resolves by
+    identity.  Memo hits still count as cache hits: the compiled kernel was
+    reused.
+
+    Empty partitions always take the row path (it raises schema-resolution
+    errors even on empty input, and kernels must not mask them); populated
+    partitions take it when the layout is not uniform, the chain cannot be
+    lowered, or the kernel bails out on a value shape it cannot reproduce
+    bit-identically.
     """
-    info = new_kernel_info()
-    ops = [state.op(op_id) for op_id in op_ids]
-    ctx = state.ctx()
     if rows:
         layout = rows[0]._layout
         if all(t._layout is layout for t in rows):
-            # Per-state memo: partitions of one execution share the plan, so
-            # the (semantic) global cache key is built once per chain+layout
-            # and every further partition resolves by identity.  Memo hits
-            # still count as cache hits — the compiled kernel was reused.
-            memo = getattr(state, "_kernel_memo", None)
-            if memo is None:
-                memo = state._kernel_memo = {}
-            mkey = (op_ids, layout)
-            if mkey in memo:
-                kernel = memo[mkey]
+            if layout in memo:
+                kernel = memo[layout]
                 info["hits"] += 1
             else:
-                kernel = memo[mkey] = chain_kernel(ops, layout, ctx, info)
+                kernel = memo[layout] = chain_kernel(ops, layout, ctx, info)
             if kernel is not None:
                 try:
-                    out, stats = kernel.run(rows, ops)
-                    return out, stats, info
+                    return kernel.run(rows, ops)
                 except KernelBailout:
                     pass
         info["fallbacks"] += 1
-    out, stats = _row_chain(ops, rows, ctx)
-    return out, stats, info
+    return row_chain(ops, rows, ctx)
 
 
 # -- vectorized shuffle-key extraction ---------------------------------------

@@ -13,14 +13,15 @@ How state is kept, per segment kind of :func:`repro.engine.executor.build_segmen
 * **chain** — nothing memoized.  Narrow operators are per-row linear
   (``out(bag) = Σ out(row)``), so the chain's output delta is the chain run
   over the inserted rows minus the chain run over the deleted rows — two
-  backend tasks regardless of base size.
+  chain evaluations regardless of base size.
 * **wide** (join, keyed grouping/nesting, dedup, difference) — the keyed
   executor's shuffle is replayed on the delta only: each delta row is routed
   with the same ``stable_hash`` rule the executor uses (``None`` keys to
   partition 0, whole-row hash for dedup/difference), the memoized
   per-partition *input* multiset is updated, and **only the partitions that
-  received a delta row** are re-evaluated through the normal backend task
-  (``join_keyed`` / ``group_keyed`` / ``rows``).  Diffing the fresh
+  received a delta row** are re-evaluated, with the operator's own
+  ``eval_keyed`` / ``eval_rows``, exactly as the executor evaluates a
+  partition.  Diffing the fresh
   partition output against the memoized one yields the downstream delta.
 * **union** — child deltas are summed.
 * **driver** (cartesian product) and keyless aggregation — the gathered
@@ -56,8 +57,7 @@ from repro.algebra.operators import (
     RelationNesting,
     TableAccess,
 )
-from repro.engine.backends import ExecutionBackend, TaskContext, get_backend
-from repro.engine.columnar import resolve_engine
+from repro.engine.columnar import kernel_chain, new_kernel_info, resolve_engine, row_chain
 from repro.engine.database import Database, Mutation
 from repro.engine.executor import build_segments
 from repro.engine.hashing import stable_hash
@@ -171,11 +171,10 @@ class DeltaEvaluator:
          "ops_recomputed": int, "wall_seconds": float}
 
     The evaluator mirrors the partitioned executor exactly — same segment
-    plan, same ``stable_hash`` routing, same backend task kinds — so its
-    maintained bag is identical to a from-scratch
+    plan, same ``stable_hash`` routing, same per-partition evaluation — so
+    its maintained bag is identical to a from-scratch
     :class:`~repro.engine.executor.Executor` run on every version (the
-    mutation fuzz oracle enforces this across serial/process backends and
-    row/columnar engines).
+    mutation fuzz oracle enforces this on both row and columnar engines).
     """
 
     def __init__(
@@ -183,8 +182,6 @@ class DeltaEvaluator:
         query: Query,
         db: Database,
         num_partitions: int = 4,
-        backend: "str | ExecutionBackend | None" = None,
-        workers: Optional[int] = None,
         optimize: Optional[bool] = None,
         engine: Optional[str] = None,
     ):
@@ -192,7 +189,6 @@ class DeltaEvaluator:
             raise ValueError("need at least one partition")
         self.query = query
         self.num_partitions = num_partitions
-        self.backend = get_backend(backend, workers)
         self.optimize = resolve_optimize(optimize)
         self.engine = resolve_engine(engine)
         self.last_stats: dict[str, Any] = {}
@@ -276,9 +272,7 @@ class DeltaEvaluator:
             if segment.kind == "source":
                 rows = op.eval_rows([], ctx)
             elif segment.kind == "chain":
-                rows = flow[op.children[0].op_id]
-                for o in ops:
-                    rows = o.eval_rows([rows], ctx)
+                rows, _ = row_chain(ops, flow[op.children[0].op_id], ctx)
             elif segment.kind == "union":
                 left, right = (flow[c.op_id] for c in op.children)
                 rows = left + right
@@ -370,19 +364,6 @@ class DeltaEvaluator:
             return op.eval_keyed(_pairs(inputs[0][p], op.key_fn()), ctx)
         return op.eval_rows([_expand(side[p]) for side in inputs], ctx)
 
-    def _partition_task(self, op: Operator, p: int) -> tuple:
-        """The backend task recomputing one partition of a wide op."""
-        inputs = self._wide_inputs[op.op_id]
-        if isinstance(op, Join):
-            left_key, right_key = op.key_fns()
-            return (
-                "join_keyed", op.op_id,
-                _pairs(inputs[0][p], left_key), _pairs(inputs[1][p], right_key),
-            )
-        if isinstance(op, (GroupAggregation, RelationNesting)):
-            return ("group_keyed", op.op_id, _pairs(inputs[0][p], op.key_fn()))
-        return ("rows", op.op_id, [_expand(side[p]) for side in inputs])
-
     def _apply_mutation(
         self, new_db: Database, mutation: Mutation
     ) -> "tuple[int, int, int]":
@@ -390,7 +371,6 @@ class DeltaEvaluator:
         ``(tasks, partitions_recomputed, ops_recomputed)``."""
         plan = self._plan
         ctx = EvalContext(new_db, plan.infer_schemas(new_db))
-        context = TaskContext(plan, new_db)
         mutated = set(mutation.tables())
         deltas: dict[int, dict[Tup, int]] = {}
         n_tasks = n_parts = n_ops = 0
@@ -408,7 +388,7 @@ class DeltaEvaluator:
                 if not din:
                     deltas[out_id] = {}
                     continue
-                dout, t = self._chain_delta(ops, din, context)
+                dout, t = self._chain_delta(ops, din, ctx)
                 deltas[out_id] = dout
                 n_tasks += t
                 n_ops += len(ops)
@@ -428,9 +408,9 @@ class DeltaEvaluator:
                 deltas[out_id] = self._global_delta(op, child_deltas, ctx)
                 n_parts += 1
                 continue
-            dout, t, p = self._wide_delta(op, child_deltas, context)
+            dout, p = self._wide_delta(op, child_deltas, ctx)
             deltas[out_id] = dout
-            n_tasks += t
+            n_tasks += p
             n_parts += p
         root_delta = deltas[plan.root.op_id]
         for row, c in root_delta.items():
@@ -440,35 +420,30 @@ class DeltaEvaluator:
         return n_tasks, n_parts, n_ops
 
     def _chain_delta(
-        self, ops: "list[Operator]", din: "dict[Tup, int]", context: TaskContext
+        self, ops: "list[Operator]", din: "dict[Tup, int]", ctx: EvalContext
     ) -> "tuple[dict[Tup, int], int]":
         pos = [row for row, c in din.items() if c > 0 for _ in range(c)]
         neg = [row for row, c in din.items() if c < 0 for _ in range(-c)]
-        kind = "kchain" if self.engine == "columnar" else "chain"
-        op_ids = tuple(op.op_id for op in ops)
-        tasks = []
-        if pos:
-            tasks.append((kind, op_ids, pos))
-        if neg:
-            tasks.append((kind, op_ids, neg))
-        results = self.backend.run(context, tasks)
+        memo: dict = {}
+        info = new_kernel_info()
         out: dict[Tup, int] = {}
-        index = 0
-        if pos:
-            for row in results[0][0]:
-                out[row] = out.get(row, 0) + 1
-            index = 1
-        if neg:
-            for row in results[index][0]:
-                out[row] = out.get(row, 0) - 1
-        return {row: c for row, c in out.items() if c}, len(tasks)
+        for rows, sign in ((pos, 1), (neg, -1)):
+            if not rows:
+                continue
+            if self.engine == "columnar":
+                rows, _ = kernel_chain(ops, rows, ctx, memo, info)
+            else:
+                rows, _ = row_chain(ops, rows, ctx)
+            for row in rows:
+                out[row] = out.get(row, 0) + sign
+        return {row: c for row, c in out.items() if c}, bool(pos) + bool(neg)
 
     def _wide_delta(
         self,
         op: Operator,
         child_deltas: "list[dict[Tup, int]]",
-        context: TaskContext,
-    ) -> "tuple[dict[Tup, int], int, int]":
+        ctx: EvalContext,
+    ) -> "tuple[dict[Tup, int], int]":
         inputs = self._wide_inputs[op.op_id]
         outputs = self._wide_outputs[op.op_id]
         routers = self._routers(op)
@@ -480,14 +455,12 @@ class DeltaEvaluator:
                 _bump(inputs[side][p], row, c)
                 affected.add(p)
         parts = sorted(affected)
-        tasks = [self._partition_task(op, p) for p in parts]
-        results = self.backend.run(context, tasks)
         dout: dict[Tup, int] = {}
-        for p, result in zip(parts, results):
-            fresh = _counter(result[0])
+        for p in parts:
+            fresh = _counter(self._eval_partition(op, p, ctx))
             _merge(dout, _diff(fresh, outputs[p]))
             outputs[p] = fresh
-        return dout, len(tasks), len(parts)
+        return dout, len(parts)
 
     def _global_delta(
         self,
@@ -535,8 +508,6 @@ class IncrementalExplainer:
         use_schema_alternatives: bool = True,
         revalidate: bool = True,
         max_sas: int = 64,
-        backend: "str | ExecutionBackend | None" = None,
-        workers: Optional[int] = None,
         num_partitions: int = 4,
         validate: bool = True,
     ):
@@ -551,13 +522,8 @@ class IncrementalExplainer:
         self.use_schema_alternatives = use_schema_alternatives
         self.revalidate = revalidate
         self.max_sas = max_sas
-        self.backend = get_backend(backend, workers)
         self.evaluator = DeltaEvaluator(
-            question.query,
-            question.db,
-            num_partitions=num_partitions,
-            backend=self.backend,
-            optimize=False,
+            question.query, question.db, num_partitions=num_partitions, optimize=False
         )
         if question._result_cache is None:
             question._result_cache = self.evaluator.result()
@@ -572,7 +538,7 @@ class IncrementalExplainer:
         sas = enumerate_schema_alternatives(
             query, db, nip, base, groups=groups, max_sas=max_sas
         )
-        traced = trace(query, db, sas, revalidate=revalidate, backend=self.backend)
+        traced = trace(query, db, sas, revalidate=revalidate)
         explanations = approximate_msrs(question, sas, traced)
         self.backtrace = base
         self.sas = sas
@@ -645,7 +611,6 @@ class IncrementalExplainer:
                 revalidate=self.revalidate,
                 max_sas=self.max_sas,
                 validate=False,
-                backend=self.backend,
                 optimize=False,
             )
             self.backtrace = out.backtrace
@@ -667,7 +632,6 @@ class IncrementalExplainer:
                 new_db,
                 self.sas,
                 revalidate=self.revalidate,
-                backend=self.backend,
                 reuse=reuse,
                 rid_start=rid_start,
             )

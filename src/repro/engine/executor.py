@@ -3,32 +3,30 @@
 The executor evaluates a :class:`~repro.algebra.operators.Query` with
 distributed-style execution: relations are hash-partitioned, *narrow*
 operators (selection, projection, flatten, ...) are fused into per-partition
-task chains, and *wide* operators (joins, grouping, deduplication) shuffle
-rows by key first, exactly like Spark's stages.  Tasks are dispatched through
-a pluggable :mod:`~repro.engine.backends` backend — ``serial`` runs them
-inline, ``process`` fans them out across CPU cores — and per-operator metrics
-(rows in/out, shuffled rows, wall/cpu time) are merged back from whichever
-workers ran them; they feed the runtime benchmarks of Figures 8–11.
+chains, and *wide* operators (joins, grouping, deduplication) shuffle rows
+by key first, exactly like Spark's stages.  Every partition is evaluated in
+the calling process; per-operator metrics (rows in/out, shuffled rows,
+wall/cpu time) feed the runtime benchmarks of Figures 8–11.  Parallelism
+lives one level up, in the sharded serving front end
+(``serve --processes N``, :mod:`repro.api.sharded`).
 
 Shuffles use :func:`repro.engine.hashing.stable_hash`, so partition
 assignment (and every metric derived from it) is identical across processes
 regardless of ``PYTHONHASHSEED``.  Keys are computed once by the operator's
 compiled key function during the shuffle and handed to the per-partition
-``eval_keyed`` evaluation — never recomputed inside the partition.  Shuffles
-always happen in the driver; only the per-partition evaluation moves to
-workers.
+``eval_keyed`` evaluation — never recomputed inside the partition.
 
-Correctness does not depend on partitioning *or* on the backend: for every
-plan, every partition count and every worker count the executor's result
-equals ``Query.evaluate`` (tested property-style, over all registered
-scenario queries, and cross-backend in ``tests/engine/test_executor.py`` and
-``tests/engine/test_backends.py``).
+Correctness does not depend on partitioning: for every plan and every
+partition count the executor's result equals ``Query.evaluate`` (tested
+property-style, over all registered scenario queries and both engines, in
+``tests/engine/test_executor.py`` and ``tests/engine/test_backends.py``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.algebra.operators import (
@@ -53,13 +51,13 @@ from repro.algebra.operators import (
     TupleNesting,
     Union,
 )
-from repro.engine.backends import ExecutionBackend, TaskContext, get_backend
 from repro.engine.columnar import (
     group_key_scatter,
     join_key_scatter,
-    merge_kernel_info,
+    kernel_chain,
     new_kernel_info,
     resolve_engine,
+    row_chain,
 )
 from repro.engine.database import Database
 from repro.engine.hashing import stable_hash
@@ -88,7 +86,7 @@ class _Segment:
     """One unit of the stage plan.
 
     ``chain`` segments hold a maximal run of narrow operators fused into one
-    per-partition task; every other kind holds a single operator.
+    per-partition evaluation; every other kind holds a single operator.
     """
 
     kind: str  # "source" | "chain" | "wide" | "union" | "driver"
@@ -100,7 +98,7 @@ def build_segments(query: Query) -> list[_Segment]:
 
     A narrow operator joins its child's chain when the child is itself part
     of a narrow chain whose output no other operator consumes — the fused
-    chain then runs as a single per-partition task without materializing the
+    chain then runs as a single per-partition pass without materializing the
     intermediate partitions (Spark's stage/pipelining rule).
     """
     consumers: dict[int, int] = {op.op_id: 0 for op in query.ops}
@@ -136,7 +134,7 @@ def build_segments(query: Query) -> list[_Segment]:
 
 
 class Executor:
-    """Evaluates query plans with partitioned, backend-pluggable execution.
+    """Evaluates query plans with partitioned execution.
 
     ``optimize`` runs the logical plan optimizer
     (:mod:`repro.engine.optimizer`) before execution; ``None`` defers to the
@@ -155,15 +153,12 @@ class Executor:
     def __init__(
         self,
         num_partitions: int = 4,
-        backend: "str | ExecutionBackend | None" = None,
-        workers: Optional[int] = None,
         optimize: Optional[bool] = None,
         engine: Optional[str] = None,
     ):
         if num_partitions < 1:
             raise ValueError("need at least one partition")
         self.num_partitions = num_partitions
-        self.backend = get_backend(backend, workers)
         self.optimize = resolve_optimize(optimize)
         self.engine = resolve_engine(engine)
         self.last_metrics: Optional[ExecutionMetrics] = None
@@ -178,17 +173,12 @@ class Executor:
             query = report.optimized
         self.last_report = report
         ctx = EvalContext(db, query.infer_schemas(db))
-        context = TaskContext(query, db)
-        metrics = ExecutionMetrics(
-            backend=self.backend.name,
-            workers=self.backend.workers,
-            engine=self.engine,
-        )
+        metrics = ExecutionMetrics(engine=self.engine)
         if self.engine == "columnar":
             metrics.kernels = new_kernel_info()
         cache: dict[int, Partitions] = {}
         for segment in build_segments(query):
-            self._run_segment(segment, cache, ctx, context, metrics)
+            self._run_segment(segment, cache, ctx, metrics)
         metrics.wall_seconds = time.perf_counter() - started
         if report is not None:
             metrics.optimizer = report.summary()
@@ -268,7 +258,6 @@ class Executor:
         segment: _Segment,
         cache: dict[int, Partitions],
         ctx: EvalContext,
-        context: TaskContext,
         metrics: ExecutionMetrics,
     ) -> None:
         started = time.perf_counter()
@@ -282,7 +271,7 @@ class Executor:
             m.cpu_seconds = m.wall_seconds
             return
         if segment.kind == "chain":
-            self._run_chain(segment, cache, context, metrics, started)
+            self._run_chain(segment, cache, ctx, metrics, started)
             return
         if segment.kind == "union":
             op = segment.ops[0]
@@ -295,7 +284,7 @@ class Executor:
             m.cpu_seconds = m.wall_seconds
             return
         if segment.kind == "wide":
-            self._run_wide(segment.ops[0], cache, context, metrics, started)
+            self._run_wide(segment.ops[0], cache, ctx, metrics, started)
             return
         # "driver": gather everything and evaluate globally (cartesian
         # product and any future operator without a partitioning rule).
@@ -314,36 +303,35 @@ class Executor:
         self,
         segment: _Segment,
         cache: dict[int, Partitions],
-        context: TaskContext,
+        ctx: EvalContext,
         metrics: ExecutionMetrics,
         started: float,
     ) -> None:
         ops = segment.ops
-        child_parts = cache[ops[0].children[0].op_id]
-        op_ids = tuple(op.op_id for op in ops)
-        # Register metrics in plan order before merging task stats.
+        # Register metrics in plan order before absorbing partition stats.
         per_op = {op.op_id: self._op_metrics(metrics, op) for op in ops}
-        kind = "kchain" if self.engine == "columnar" else "chain"
-        results = self.backend.run(
-            context, [(kind, op_ids, part) for part in child_parts]
-        )
-        cache[op_ids[-1]] = [result[0] for result in results]
-        for result in results:
-            for op_id, n_in, n_out, seconds in result[1]:
+        memo: dict = {}
+        outputs = []
+        for part in cache[ops[0].children[0].op_id]:
+            if self.engine == "columnar":
+                rows, stats = kernel_chain(ops, part, ctx, memo, metrics.kernels)
+            else:
+                rows, stats = row_chain(ops, part, ctx)
+            outputs.append(rows)
+            for op_id, n_in, n_out, seconds in stats:
                 per_op[op_id].absorb_task(n_in, n_out, seconds)
-            if len(result) > 2 and metrics.kernels is not None:
-                merge_kernel_info(metrics.kernels, result[2])
+        cache[ops[-1].op_id] = outputs
         elapsed = time.perf_counter() - started
         for op in ops:
-            # Driver-observed elapsed time is attributed to the whole fused
-            # stage; per-operator compute lives in ``cpu_seconds``.
+            # Elapsed time is attributed to the whole fused stage;
+            # per-operator compute lives in ``cpu_seconds``.
             per_op[op.op_id].wall_seconds += elapsed
 
     def _run_wide(
         self,
         op: Operator,
         cache: dict[int, Partitions],
-        context: TaskContext,
+        ctx: EvalContext,
         metrics: ExecutionMetrics,
         started: float,
     ) -> None:
@@ -361,33 +349,31 @@ class Executor:
                 right_scatter = join_key_scatter(tuple(r for _, r in op.on), right_key)
             left = self._shuffle_keyed(child_parts[0], left_key, m, left_scatter)
             right = self._shuffle_keyed(child_parts[1], right_key, m, right_scatter)
-            tasks = [
-                ("join_keyed", op.op_id, left[i], right[i]) for i in range(nparts)
-            ]
+            evals = [partial(op.eval_keyed, left[i], right[i], ctx) for i in range(nparts)]
         elif isinstance(op, GroupAggregation) and not op.key_specs:
             gathered = self._gather(child_parts[0], m)
-            tasks = [("rows", op.op_id, [gathered])]
+            evals = [partial(op.eval_rows, [gathered], ctx)]
             pad_empty = True
         elif isinstance(op, (GroupAggregation, RelationNesting)):
             scatter = group_key_scatter(op) if columnar else None
             shuffled = self._shuffle_keyed(child_parts[0], op.key_fn(), m, scatter)
-            tasks = [("group_keyed", op.op_id, part) for part in shuffled]
+            evals = [partial(op.eval_keyed, part, ctx) for part in shuffled]
         else:  # Deduplication, Difference: shuffle whole rows by value
             shuffled = [
                 self._shuffle_by_key(parts, lambda t: t, m) for parts in child_parts
             ]
-            tasks = [
-                ("rows", op.op_id, [child[i] for child in shuffled])
+            evals = [
+                partial(op.eval_rows, [child[i] for child in shuffled], ctx)
                 for i in range(nparts)
             ]
-        results = self.backend.run(context, tasks)
-        parts = [rows for rows, _ in results]
+        parts = []
+        for evaluate in evals:
+            task_started = time.perf_counter()
+            parts.append(evaluate())
+            m.cpu_seconds += time.perf_counter() - task_started
+            m.tasks += 1
         if pad_empty:
             parts = parts + [[] for _ in range(nparts - 1)]
         cache[op.op_id] = parts
         m.rows_out = sum(len(p) for p in parts)
-        for _, stats in results:
-            for _, _, _, seconds in stats:
-                m.cpu_seconds += seconds
-                m.tasks += 1
         m.wall_seconds += time.perf_counter() - started

@@ -30,7 +30,7 @@ _NULL_HASH = 0x9E3779B9
 #: (NaN != NaN defeats the usual equal-hash contract), which would route
 #: "the same" NaN to different partitions across processes and runs —
 #: found by the differential fuzzer (seed 4) as diverging shuffle metrics
-#: and NaN-keyed groups between backends.
+#: and NaN-keyed groups between execution paths.
 _NAN_HASH = 0x7FF80000
 _LAYOUT_HASHES: dict[int, int] = {}
 

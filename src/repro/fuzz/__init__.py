@@ -1,9 +1,9 @@
 """Seeded differential fuzzing for the query/why-not pipeline.
 
-The repo has four execution paths that must agree bag-for-bag and
+The repo has several execution paths that must agree bag-for-bag and
 explanation-for-explanation: the reference ``Query.evaluate``, the
-partitioned executor on the ``serial`` and ``process`` backends, and the
-logical optimizer toggled on or off — at every partition count.  The
+partitioned executor on the row and columnar engines, and the logical
+optimizer toggled on or off — at every partition count.  The
 hand-written paper scenarios only cover a sliver of the input space, so this
 package generates the rest: random nested databases seeded with adversarial
 values (NaN, ±0.0, ``2`` vs ``2.0`` vs ``True``, empty bags, all-null

@@ -13,8 +13,8 @@ version.  This module turns that promise into a differential gate:
 * :func:`check_mutation_case` applies a generated chain of such mutations
   and cross-checks, at **every** version,
 
-  1. :class:`~repro.engine.deltas.DeltaEvaluator` (per requested
-     backend × engine) against the reference ``Query.evaluate`` bag, and
+  1. :class:`~repro.engine.deltas.DeltaEvaluator` (per requested engine)
+     against the reference ``Query.evaluate`` bag, and
   2. :class:`~repro.engine.deltas.IncrementalExplainer` against a
      from-scratch ``explain`` — identical ranked explanation label sets,
      and identical exception types when a version flips the question
@@ -145,17 +145,15 @@ def check_mutation_case(
     case: FuzzCase,
     rng: random.Random,
     steps: int = 3,
-    backends: Sequence[str] = ("serial",),
     engines: Sequence[str] = ("row", "columnar"),
-    workers: int = 2,
     num_partitions: int = 3,
     config: Optional[FuzzConfig] = None,
 ) -> OracleReport:
     """Differentially test one case across a fuzzed mutation chain.
 
     At every version the maintained state must equal a from-scratch
-    recomputation — identical result bags for each requested backend/engine
-    point and identical explanation label sets (or identical exception
+    recomputation — identical result bags for each requested engine and
+    identical explanation label sets (or identical exception
     types when the reference itself errors / the question flips ill-posed).
     """
     report = OracleReport()
@@ -169,16 +167,12 @@ def check_mutation_case(
     for db_v in versions[1:]:
         references.append(_outcome(lambda db_v=db_v: case.query.evaluate(db_v)))
 
-    for backend in backends:
-        for engine in engines:
-            _check_delta_evaluator(
-                report, case, versions, references, backend, engine,
-                workers, num_partitions,
-            )
-    if case.nip is not None:
-        _check_incremental_explainer(
-            report, case, versions, references, workers, num_partitions
+    for engine in engines:
+        _check_delta_evaluator(
+            report, case, versions, references, engine, num_partitions
         )
+    if case.nip is not None:
+        _check_incremental_explainer(report, case, versions, references, num_partitions)
     return report
 
 
@@ -187,19 +181,15 @@ def _check_delta_evaluator(
     case: FuzzCase,
     versions: "list[Database]",
     references: list,
-    backend: str,
     engine: str,
-    workers: int,
     num_partitions: int,
 ) -> None:
-    label = f"delta backend={backend} engine={engine}"
+    label = f"delta engine={engine}"
     try:
         evaluator = DeltaEvaluator(
             case.query,
             versions[0],
             num_partitions=num_partitions,
-            backend=backend,
-            workers=workers,
             optimize=False,
             engine=engine,
         )
@@ -256,7 +246,6 @@ def _check_incremental_explainer(
     case: FuzzCase,
     versions: "list[Database]",
     references: list,
-    workers: int,
     num_partitions: int,
 ) -> None:
     from repro.whynot.explain import explain
@@ -266,16 +255,12 @@ def _check_incremental_explainer(
         return WhyNotQuestion(case.query, db_v, case.nip, name=case.name)
 
     def scratch(db_v: Database):
-        return explain(
-            fresh(db_v), backend="serial", workers=workers, engine="row",
-            validate=True, optimize=False,
-        )
+        return explain(fresh(db_v), engine="row", validate=True, optimize=False)
 
     baseline = _outcome(lambda: scratch(versions[0]))
     try:
         explainer = IncrementalExplainer(
-            fresh(versions[0]), backend="serial", workers=workers,
-            num_partitions=num_partitions,
+            fresh(versions[0]), num_partitions=num_partitions
         )
         incremental = ("ok", explainer.last_result)
     except Exception as exc:  # noqa: BLE001 - compared against the baseline
@@ -385,9 +370,7 @@ def run_mutation_sweep(
     config: Optional[FuzzConfig] = None,
     steps: int = 3,
     questions: bool = True,
-    backends: Sequence[str] = ("serial",),
     engines: Sequence[str] = ("row", "columnar"),
-    workers: int = 2,
     num_partitions: int = 3,
 ) -> MutationSweepResult:
     """Fuzz *cases* mutation chains for one seed (CLI: ``fuzz --mutations``).
@@ -405,9 +388,7 @@ def run_mutation_sweep(
             case,
             rng,
             steps=steps,
-            backends=backends,
             engines=engines,
-            workers=workers,
             num_partitions=num_partitions,
             config=config,
         )

@@ -4,19 +4,18 @@ For a generated ``(database, query[, why-not question])`` case the oracle
 runs:
 
 * the reference semantics ``Query.evaluate``,
-* the partitioned executor for every ``backend × optimize × partitions ×
-  engine`` combination requested (defaults: serial/process × on/off ×
-  1/3/7 × row/columnar),
+* the partitioned executor for every ``optimize × partitions × engine``
+  combination requested (defaults: on/off × 1/3/7 × row/columnar),
 
 and checks
 
 1. **result bags** — every configuration must equal the reference bag;
 2. **metrics invariants** — the root operator's ``rows_out`` equals the
-   result size, and total shuffled rows agree across backends *and engines*
-   for the same (partitions, optimize) point;
+   result size, and total shuffled rows agree across engines for the same
+   (partitions, optimize) point;
 3. **explanation sets** — ``explain`` (validated why-not question) must
    produce the identical ranked explanation label sets for every requested
-   backend/optimizer combination;
+   optimizer/engine combination;
 4. **matcher agreement** — the reference NIP matcher
    (:func:`repro.whynot.matching.matches`) and the compiled matcher
    (:func:`repro.whynot.matching.compile_pattern`) must agree on every
@@ -53,18 +52,15 @@ from repro.whynot.question import WhyNotQuestion
 
 #: Default grid (the acceptance grid of the fuzz subsystem).
 PARTITIONS = (1, 3, 7)
-BACKENDS = ("serial", "process")
 OPTIMIZE = (False, True)
 ENGINES = ("row", "columnar")
-#: Backend/optimizer/engine triples explanation sets are compared across.
-#: Tracing is the expensive path, so the default exercises the optimizer
-#: toggle on the serial backend, one process-backend point, and one
-#: columnar-engine point.
+#: Optimizer/engine pairs explanation sets are compared across.  Tracing is
+#: the expensive path, so the default exercises the optimizer toggle on the
+#: row engine and one columnar-engine point.
 EXPLAIN_GRID = (
-    ("serial", False, "row"),
-    ("serial", True, "row"),
-    ("process", False, "row"),
-    ("serial", False, "columnar"),
+    (False, "row"),
+    (True, "row"),
+    (False, "columnar"),
 )
 
 
@@ -130,9 +126,7 @@ def check_case(
     query: Query,
     question: Optional[WhyNotQuestion] = None,
     partitions: Sequence[int] = PARTITIONS,
-    backends: Sequence[str] = BACKENDS,
     optimize: Sequence[bool] = OPTIMIZE,
-    workers: int = 2,
     engines: Sequence[str] = ENGINES,
     explain_grid: Optional[Sequence] = None,
     grammar: bool = False,
@@ -142,84 +136,70 @@ def check_case(
     reference = _outcome(lambda: query.evaluate(db))
 
     shuffled_totals: dict = {}
-    for backend in backends:
-        for opt in optimize:
-            for nparts, engine in (
-                (n, e) for n in partitions for e in engines
-            ):
-                config = (
-                    f"backend={backend} optimize={opt} "
-                    f"partitions={nparts} engine={engine}"
+    for opt in optimize:
+        for nparts, engine in ((n, e) for n in partitions for e in engines):
+            config = f"optimize={opt} partitions={nparts} engine={engine}"
+            executor = Executor(num_partitions=nparts, optimize=opt, engine=engine)
+            got = _outcome(lambda: executor.execute(query, db))
+            report.configs_run += 1
+            if got[0] != reference[0]:
+                report.divergences.append(
+                    Divergence(
+                        "error",
+                        config,
+                        f"reference={reference[1] if reference[0] == 'error' else 'ok'}"
+                        f" vs executor={got[1] if got[0] == 'error' else 'ok'}",
+                    )
                 )
-                executor = Executor(
-                    num_partitions=nparts,
-                    backend=backend,
-                    workers=workers,
-                    optimize=opt,
-                    engine=engine,
-                )
-                got = _outcome(lambda: executor.execute(query, db))
-                report.configs_run += 1
-                if got[0] != reference[0]:
+                continue
+            if reference[0] == "error":
+                if got[1] != reference[1]:
                     report.divergences.append(
                         Divergence(
                             "error",
                             config,
-                            f"reference={reference[1] if reference[0] == 'error' else 'ok'}"
-                            f" vs executor={got[1] if got[0] == 'error' else 'ok'}",
+                            f"exception {got[1]} vs reference {reference[1]}",
                         )
                     )
-                    continue
-                if reference[0] == "error":
-                    if got[1] != reference[1]:
-                        report.divergences.append(
-                            Divergence(
-                                "error",
-                                config,
-                                f"exception {got[1]} vs reference {reference[1]}",
-                            )
-                        )
-                    continue
-                if got[1] != reference[1]:
-                    report.divergences.append(
-                        Divergence("result", config, _bag_diff(reference[1], got[1]))
-                    )
-                    continue
-                metrics = executor.last_metrics
-                root_id = (
-                    executor.last_report.optimized.root.op_id
-                    if executor.last_report is not None
-                    else query.root.op_id
+                continue
+            if got[1] != reference[1]:
+                report.divergences.append(
+                    Divergence("result", config, _bag_diff(reference[1], got[1]))
                 )
-                root_metrics = metrics.operators.get(root_id)
-                if root_metrics is not None and root_metrics.rows_out != len(reference[1]):
-                    report.divergences.append(
-                        Divergence(
-                            "metrics",
-                            config,
-                            f"root rows_out={root_metrics.rows_out} "
-                            f"!= |result|={len(reference[1])}",
-                        )
+                continue
+            metrics = executor.last_metrics
+            root_id = (
+                executor.last_report.optimized.root.op_id
+                if executor.last_report is not None
+                else query.root.op_id
+            )
+            root_metrics = metrics.operators.get(root_id)
+            if root_metrics is not None and root_metrics.rows_out != len(reference[1]):
+                report.divergences.append(
+                    Divergence(
+                        "metrics",
+                        config,
+                        f"root rows_out={root_metrics.rows_out} "
+                        f"!= |result|={len(reference[1])}",
                     )
-                total_shuffled = sum(
-                    m.shuffled_rows for m in metrics.operators.values()
                 )
-                key = (opt, nparts)
-                previous = shuffled_totals.get(key)
-                if previous is None:
-                    shuffled_totals[key] = (f"{backend}/{engine}", total_shuffled)
-                elif previous[1] != total_shuffled:
-                    report.divergences.append(
-                        Divergence(
-                            "metrics",
-                            config,
-                            f"shuffled_rows={total_shuffled} vs "
-                            f"{previous[1]} on backend/engine={previous[0]}",
-                        )
+            total_shuffled = sum(m.shuffled_rows for m in metrics.operators.values())
+            key = (opt, nparts)
+            previous = shuffled_totals.get(key)
+            if previous is None:
+                shuffled_totals[key] = (engine, total_shuffled)
+            elif previous[1] != total_shuffled:
+                report.divergences.append(
+                    Divergence(
+                        "metrics",
+                        config,
+                        f"shuffled_rows={total_shuffled} vs "
+                        f"{previous[1]} on engine={previous[0]}",
                     )
+                )
 
     if grammar:
-        _check_grammar(report, db, query, question, reference, workers)
+        _check_grammar(report, db, query, question, reference)
 
     if reference[0] == "error":
         report.reference_error = reference[1]
@@ -233,7 +213,6 @@ def check_case(
             db,
             question,
             explain_grid if explain_grid is not None else EXPLAIN_GRID,
-            workers,
         )
     return report
 
@@ -320,7 +299,6 @@ def _check_grammar(
     query: Query,
     question: Optional[WhyNotQuestion],
     reference,
-    workers: int,
 ) -> None:
     """Grammar round-trip: pretty → reparse → relower must be the identity.
 
@@ -393,9 +371,7 @@ def _check_grammar(
 
     def run(program_query, program_nip):
         fresh = WhyNotQuestion(program_query, db, program_nip, name=query.name)
-        return explain(
-            fresh, backend="serial", workers=workers, engine="row", validate=True
-        )
+        return explain(fresh, engine="row", validate=True)
 
     original = _outcome(lambda: run(query, nip))
     reparsed = _outcome(lambda: run(lowered.query, lowered.nip))
@@ -453,29 +429,21 @@ def _check_explanations(
     db: Database,
     question: WhyNotQuestion,
     grid: Sequence,
-    workers: int,
 ) -> None:
     from repro.whynot.explain import explain
 
     if not grid:
         return
     outcomes = []
-    for backend, opt, engine in grid:
+    for opt, engine in grid:
         # A fresh question per configuration: ``explain`` seeds the result
         # cache, and sharing it across configurations could mask divergence.
         fresh = WhyNotQuestion(query, db, question.nip, name=question.name)
         outcome = _outcome(
-            lambda: explain(
-                fresh,
-                backend=backend,
-                workers=workers,
-                optimize=opt,
-                engine=engine,
-                validate=True,
-            )
+            lambda: explain(fresh, optimize=opt, engine=engine, validate=True)
         )
         report.explain_configs_run += 1
-        outcomes.append(((backend, opt, engine), outcome))
+        outcomes.append(((opt, engine), outcome))
     kinds = {o[0] for _, o in outcomes}
     if kinds == {"error"}:
         names = {o[1] for _, o in outcomes}
@@ -492,15 +460,15 @@ def _check_explanations(
         return
     baseline_config, baseline = outcomes[0]
     for config, outcome in outcomes[1:]:
-        label = f"backend={config[0]} optimize={config[1]} engine={config[2]}"
+        label = f"optimize={config[0]} engine={config[1]}"
         if outcome[0] != baseline[0]:
             report.divergences.append(
                 Divergence(
                     "explanation",
                     label,
                     f"outcome {outcome[0]}/{outcome[1] if outcome[0] == 'error' else ''}"
-                    f" vs {baseline[0]} on backend={baseline_config[0]} "
-                    f"optimize={baseline_config[1]} engine={baseline_config[2]}",
+                    f" vs {baseline[0]} on optimize={baseline_config[0]} "
+                    f"engine={baseline_config[1]}",
                 )
             )
             continue

@@ -99,7 +99,7 @@ def is_null(value: Any) -> bool:
 #: (:func:`repro.algebra.aggregates.apply_aggregate`) and unpickling
 #: (:meth:`Tup._unpickle` / :meth:`Bag._unpickle`) all canonicalize.  NaN
 #: thus behaves as one value — SQL's reading for GROUP BY / DISTINCT — and
-#: every backend/partitioning produces identical results.
+#: every engine/partitioning produces identical results.
 NAN = float("nan")
 
 
@@ -172,8 +172,8 @@ class Layout:
 
     def __reduce__(self):
         # Layouts are interned per process: unpickling re-interns by name
-        # tuple so identity comparisons keep working across process
-        # boundaries (the parallel execution backends ship rows to workers).
+        # tuple so identity comparisons keep working for values pickled in
+        # another process.
         return (Layout.of, (self.names,))
 
     # -- derived-shape caches (keyed by identity of interned inputs) ---------

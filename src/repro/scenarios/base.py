@@ -92,15 +92,11 @@ def run_scenario(
     scenario: "Scenario | str",
     scale: Optional[int] = None,
     with_baselines: bool = True,
-    backend=None,
-    workers=None,
     optimize: Optional[bool] = None,
     engine: Optional[str] = None,
 ) -> ScenarioRun:
     """Run all approaches on *scenario* and collect their explanations.
 
-    ``backend``/``workers`` select the execution backend for the RP variants
-    (see :mod:`repro.engine.backends`); the explanations do not depend on it.
     ``optimize`` enables the answer-path plan optimizer
     (:mod:`repro.engine.optimizer`) and ``engine`` selects the chain
     evaluation engine (:mod:`repro.engine.columnar`); explanations do not
@@ -109,12 +105,10 @@ def run_scenario(
     """
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
-    from repro.engine.backends import get_backend
     from repro.engine.columnar import resolve_engine
     from repro.engine.executor import Executor
     from repro.engine.optimizer import optimize_query, resolve_optimize
 
-    backend = get_backend(backend, workers)
     engine = resolve_engine(engine)
     question = scenario.question(scale)
     if resolve_optimize(optimize):
@@ -123,13 +117,13 @@ def run_scenario(
         answer_query = optimize_query(question.query, question.db).optimized
         if engine == "columnar":
             question._result_cache = Executor(
-                num_partitions=4, backend=backend, optimize=False, engine=engine
+                num_partitions=4, optimize=False, engine=engine
             ).execute(answer_query, question.db)
         else:
             question._result_cache = answer_query.evaluate(question.db)
     elif engine == "columnar":
         question._result_cache = Executor(
-            num_partitions=4, backend=backend, optimize=False, engine=engine
+            num_partitions=4, optimize=False, engine=engine
         ).execute(question.query, question.db)
     question.validate()
     timings: dict[str, float] = {}
@@ -148,7 +142,6 @@ def run_scenario(
         question,
         use_schema_alternatives=False,
         validate=False,
-        backend=backend,
         optimize=optimize,
         engine=engine,
     )
@@ -159,7 +152,6 @@ def run_scenario(
         question,
         alternatives=scenario.alternatives,
         validate=False,
-        backend=backend,
         optimize=optimize,
         engine=engine,
     )

@@ -94,8 +94,6 @@ def explain(
     revalidate: bool = True,
     max_sas: int = 64,
     validate: bool = True,
-    backend=None,
-    workers=None,
     optimize: Optional[bool] = None,
     engine: Optional[str] = None,
 ) -> WhyNotResult:
@@ -104,10 +102,6 @@ def explain(
     ``alternatives`` is a sequence of groups of interchangeable source
     attributes, e.g. ``[["person.address2", "person.address1"]]`` — see
     paper §5.2 (attribute alternatives are an input to the algorithm).
-
-    ``backend``/``workers`` select the execution backend for the data-tracing
-    step (``"serial"`` or ``"process"``, see :mod:`repro.engine.backends`);
-    explanations are identical on every backend.
 
     ``engine`` (default: the ``REPRO_ENGINE`` environment variable) selects
     the chain-evaluation engine for the answer-path ``Q(D)`` evaluation —
@@ -123,12 +117,10 @@ def explain(
     (paper Def. 9); the optimizer is explanation-preserving by construction
     and the equivalence suite asserts identical explanation sets either way.
     """
-    from repro.engine.backends import get_backend
     from repro.engine.columnar import resolve_engine
     from repro.engine.optimizer import optimize_query, resolve_optimize
 
     timings: dict[str, float] = {}
-    backend = get_backend(backend, workers)
     engine = resolve_engine(engine)
     optimizer_summary: Optional[dict] = None
     answer_query = question.query
@@ -149,7 +141,7 @@ def explain(
             from repro.engine.executor import Executor
 
             question._result_cache = Executor(
-                num_partitions=4, backend=backend, optimize=False, engine=engine
+                num_partitions=4, optimize=False, engine=engine
             ).execute(answer_query, question.db)
         elif answer_query is not question.query:
             question._result_cache = answer_query.evaluate(question.db)
@@ -168,9 +160,7 @@ def explain(
     timings["alternatives"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    traced = trace(
-        question.query, question.db, sas, revalidate=revalidate, backend=backend
-    )
+    traced = trace(question.query, question.db, sas, revalidate=revalidate)
     timings["tracing"] = time.perf_counter() - started
 
     started = time.perf_counter()

@@ -34,15 +34,12 @@ Per-SA ``valid``/``consistent``/``retained`` flags are bitmask integers
 :class:`TRow` exposes tuple-style ``consistent``/``retained`` views for
 compatibility and ``*_at(i)`` accessors for hot paths.
 
-Because the SA groups at an operator are *independent* — each group is
-evaluated through its own representative query against its own column of
-input tuples — their evaluation is dispatched through the pluggable
-execution backend (:mod:`repro.engine.backends`): with ``backend="process"``
-the per-group relaxed evaluations of an operator run on separate CPU cores
-and only the bitmask merging happens in the driver.  The serial backend runs
-the identical task functions inline, so backends are result-equivalent by
-construction (asserted over every registered scenario in
-``tests/engine/test_backends.py``).
+The SA groups at an operator are *independent* — each group is evaluated
+through its own representative query against its own column of input
+tuples.  The ``_group_*`` methods of :class:`Tracer` compute one group's
+share of an operator (outputs, expansions, matches or buckets, indexed by
+input position); the ``_trace_*`` methods merge the per-group results back
+into bitmask-flagged rows.
 
 Aggregate-value constraints in NIPs are checked softly: if no row at an
 operator is strictly consistent under some SA, consistency is re-evaluated
@@ -78,14 +75,8 @@ from repro.algebra.operators import (
     TupleNesting,
     Union,
 )
-from repro.engine.backends import (
-    ExecutionBackend,
-    TaskContext,
-    get_backend,
-    run_task,
-)
 from repro.engine.database import Database
-from repro.nested.values import Bag, Tup
+from repro.nested.values import Bag, Layout, Tup
 from repro.whynot.alternatives import SchemaAlternative
 from repro.whynot.matching import compile_pattern
 
@@ -271,7 +262,6 @@ class Tracer:
         db: Database,
         sas: list[SchemaAlternative],
         revalidate: bool = True,
-        backend: "str | ExecutionBackend | None" = None,
         reuse: "Optional[dict[int, OpTrace]]" = None,
         rid_start: int = 0,
     ):
@@ -290,22 +280,6 @@ class Tracer:
         self._schemas = [sa.query.infer_schemas(db) for sa in sas]
         self._ctxs = [EvalContext(db, schemas) for schemas in self._schemas]
         self._op_group_cache: dict[int, tuple[int, ...]] = {}
-        self.backend = get_backend(backend)
-        self._task_context = TaskContext(
-            query, db, tuple(sa.query for sa in sas)
-        )
-
-    def _run_group_tasks(self, tasks: list[tuple]) -> list:
-        """Evaluate one task per SA group through the execution backend.
-
-        A single group (or a serial backend) runs inline; with the process
-        backend the groups evaluate on separate cores and the caller merges
-        the returned per-group results into bitmask-flagged rows.
-        """
-        if len(tasks) <= 1 or self.backend.workers <= 1:
-            state = self._task_context.local_state()
-            return [run_task(state, task) for task in tasks]
-        return self.backend.run(self._task_context, tasks)
 
     # -- public entry --------------------------------------------------------
 
@@ -502,6 +476,8 @@ class Tracer:
         rows = []
         if len(reps) == 1:
             # All SAs share the computation: one eval, one shared tuple.
+            # Inlined: merging ``_group_narrow``'s output list instead
+            # measured slower on this, the common case.
             sa_op, ctx, rep = sa_ops[0], ctxs[0], reps[0]
             for parent in child.rows:
                 v = parent.vals[rep]
@@ -518,14 +494,11 @@ class Tracer:
                     )
                 )
             return rows, groups
-        # Multiple distinguishable groups: each group's relaxed evaluation is
-        # an independent task (parallel under the process backend).
-        group_outs = self._run_group_tasks(
-            [
-                ("trace_narrow", reps[g], op.op_id, [p.vals[reps[g]] for p in child.rows])
-                for g in range(len(reps))
-            ]
-        )
+        # Multiple distinguishable groups: evaluate each group once.
+        group_outs = [
+            self._group_narrow(op, rep, [p.vals[rep] for p in child.rows])
+            for rep in reps
+        ]
         for idx, parent in enumerate(child.rows):
             vals = []
             valid_mask = 0
@@ -555,6 +528,7 @@ class Tracer:
         full = self._full_mask
         rows = []
         if len(reps) == 1:
+            # The single-group case inlined, as in ``_trace_narrow``.
             sa_op, ctx, rep = sa_ops[0], ctxs[0], reps[0]
             outer = sa_op.outer
             for parent in child.rows:
@@ -586,14 +560,12 @@ class Tracer:
                         )
                     )
             return rows, groups
-        # Per-group outer-flatten expansions are independent tasks; the
-        # driver merges them column-aligned (k-th expansion of each group).
-        group_expansions = self._run_group_tasks(
-            [
-                ("trace_flatten", reps[g], op.op_id, [p.vals[reps[g]] for p in child.rows])
-                for g in range(len(reps))
-            ]
-        )
+        # Per-group outer-flatten expansions, merged column-aligned (the
+        # k-th expansion of each group forms one traced row).
+        group_expansions = [
+            self._group_flatten(op, rep, [p.vals[rep] for p in child.rows])
+            for rep in reps
+        ]
         for idx, parent in enumerate(child.rows):
             expansions: list[list[tuple[Optional[Tup], bool]]] = [
                 group_expansions[g][idx] for g in range(len(reps))
@@ -637,21 +609,14 @@ class Tracer:
         full = self._full_mask
         n_groups = len(reps)
 
-        # Each group's full-outer match set is an independent task: workers
-        # return {(left_idx, right_idx): combined} plus the matched index
-        # sets; pads (cheap, schema-derived) stay in the driver.
-        results = self._run_group_tasks(
-            [
-                (
-                    "trace_join",
-                    reps[g],
-                    op.op_id,
-                    [l.vals[reps[g]] for l in left_rows],
-                    [r.vals[reps[g]] for r in right_rows],
-                )
-                for g in range(n_groups)
-            ]
-        )
+        # Each group's full-outer match set: {(left_idx, right_idx):
+        # combined} plus the matched index sets; the pads are schema-derived.
+        results = [
+            self._group_join(
+                op, rep, [l.vals[rep] for l in left_rows], [r.vals[rep] for r in right_rows]
+            )
+            for rep in reps
+        ]
         match_sets: list[dict[tuple[int, int], Tup]] = [r[0] for r in results]
         left_matched: list[set[int]] = [r[1] for r in results]
         right_matched: list[set[int]] = [r[2] for r in results]
@@ -794,15 +759,12 @@ class Tracer:
         merged: dict[Tup, dict[int, tuple[Tup, list[int]]]] = {}
         order: list[Tup] = []
 
-        # Per-group nest/aggregate runs as independent tasks returning
-        # ``(key, out, member_indices)`` buckets; the driver merges them
-        # full-outer-join-style on the group key.
-        results = self._run_group_tasks(
-            [
-                ("trace_group", reps[g], op.op_id, [p.vals[reps[g]] for p in child.rows])
-                for g in range(len(reps))
-            ]
-        )
+        # Per-group nest/aggregate ``(key, out, member_indices)`` buckets,
+        # merged full-outer-join-style on the group key.
+        results = [
+            self._group_grouping(op, rep, [p.vals[rep] for p in child.rows])
+            for rep in reps
+        ]
         for g in range(len(reps)):
             for key, out, member_idxs in results[g]:
                 slot = merged.get(key)
@@ -845,6 +807,114 @@ class Tracer:
                 )
             )
         return rows, groups
+
+    # -- one SA group's share of an operator --------------------------------
+
+    def _group_narrow(self, op: Operator, sa: int, parent_vals: list) -> list:
+        """One SA group's outputs for a non-filtering unary operator.
+
+        Each parent tuple that exists under the group's representative SA
+        *sa* is pushed through the SA's operator; missing parents stay
+        missing.
+        """
+        sa_op = self._sa_op(op, sa)
+        ctx = self._ctxs[sa]
+        outs: list = []
+        for v in parent_vals:
+            if v is None:
+                outs.append(None)
+            else:
+                produced = sa_op.eval_rows([[v]], ctx)
+                outs.append(produced[0] if produced else None)
+        return outs
+
+    def _group_flatten(self, op: RelationFlatten, sa: int, parent_vals: list) -> list:
+        """One SA group's outer-flatten expansions, one list per parent row.
+
+        Each expansion entry is ``(tuple, retained)``; a padded expansion is
+        retained only when the SA's own flatten is the outer variant.
+        """
+        sa_op: RelationFlatten = self._sa_op(op, sa)  # type: ignore[assignment]
+        ctx = self._ctxs[sa]
+        outer = sa_op.outer
+        expansions: list = []
+        for v in parent_vals:
+            if v is None:
+                expansions.append([])
+                continue
+            expanded, padded = sa_op.expand(v, ctx)
+            if padded:
+                expansions.append([(expanded[0], outer)])
+            else:
+                expansions.append([(t, True) for t in expanded])
+        return expansions
+
+    def _group_join(
+        self, op: Join, sa: int, left_vals: list, right_vals: list
+    ) -> "tuple[dict, set[int], set[int]]":
+        """One SA group's join matches: ``{(left_idx, right_idx): combined}``
+        plus the matched index sets on each side (for outer padding)."""
+        sa_op: Join = self._sa_op(op, sa)  # type: ignore[assignment]
+        left_key, right_key = sa_op.key_fns()
+        extra = sa_op.extra.compile() if sa_op.extra is not None else None
+        combine = sa_op._combine
+        index: dict = {}
+        for jdx, v in enumerate(right_vals):
+            if v is None:
+                continue
+            key = right_key(v)
+            if key is not None:
+                index.setdefault(key, []).append(jdx)
+        matches: dict = {}
+        left_matched: set[int] = set()
+        right_matched: set[int] = set()
+        empty: tuple[int, ...] = ()
+        for ldx, v in enumerate(left_vals):
+            if v is None:
+                continue
+            key = left_key(v)
+            if key is None:
+                continue
+            for jdx in index.get(key, empty):
+                combined = combine(v, right_vals[jdx])
+                if extra is not None and not extra(combined):
+                    continue
+                matches[(ldx, jdx)] = combined
+                left_matched.add(ldx)
+                right_matched.add(jdx)
+        return matches, left_matched, right_matched
+
+    def _group_grouping(
+        self, op: "RelationNesting | GroupAggregation", sa: int, parent_vals: list
+    ) -> list:
+        """One SA group's nesting/aggregation buckets as ``(key, out, indices)``.
+
+        Indices point into *parent_vals*; :meth:`_trace_grouping` maps them
+        back to traced-row ids when it merges the groups on the group key.
+        """
+        sa_op = self._sa_op(op, sa)
+        nesting = isinstance(sa_op, RelationNesting)
+        buckets: dict = {}
+        if not nesting and not sa_op.key_specs:
+            buckets[Tup()] = [i for i, v in enumerate(parent_vals) if v is not None]
+        else:
+            key_fn = sa_op.group_key if nesting else sa_op.key_fn()
+            for i, v in enumerate(parent_vals):
+                if v is None:
+                    continue
+                buckets.setdefault(key_fn(v), []).append(i)
+        out = []
+        if nesting:
+            target_layout = Layout.of((sa_op.target,))
+            for key, idxs in buckets.items():
+                nested = Bag(parent_vals[i].project(sa_op.attrs) for i in idxs)
+                out.append((key, key.concat(Tup.from_layout(target_layout, (nested,))), idxs))
+        else:
+            for key, idxs in buckets.items():
+                out.append(
+                    (key, key.concat(sa_op.aggregate_tuple([parent_vals[i] for i in idxs])), idxs)
+                )
+        return out
 
     def _trace_union(self, op: Union, child_traces: list[OpTrace]) -> tuple[list[TRow], SAGroups]:
         rows = []
@@ -946,19 +1016,15 @@ def trace(
     db: Database,
     sas: list[SchemaAlternative],
     revalidate: bool = True,
-    backend: "str | ExecutionBackend | None" = None,
     reuse: "Optional[dict[int, OpTrace]]" = None,
     rid_start: int = 0,
 ) -> TraceResult:
     """Run the instrumented (relaxed) evaluation for all schema alternatives.
 
-    *backend* selects where independent SA groups evaluate (see
-    :mod:`repro.engine.backends`); results are backend-invariant.  *reuse*
-    merges retained per-operator traces from a base version instead of
+    *reuse* merges retained per-operator traces from a base version instead of
     re-evaluating them (incremental re-trace after a mutation); *rid_start*
     offsets freshly allocated row ids above the retained ones.
     """
     return Tracer(
-        query, db, sas, revalidate=revalidate, backend=backend, reuse=reuse,
-        rid_start=rid_start,
+        query, db, sas, revalidate=revalidate, reuse=reuse, rid_start=rid_start
     ).run()

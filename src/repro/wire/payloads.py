@@ -16,7 +16,7 @@ Payload kinds:
   optimizer summary (backtrace/trace internals stay in-process — they are
   unbounded and carry no API contract);
 * ``metrics``    — an :class:`~repro.engine.metrics.ExecutionMetrics` dump
-  (per-operator counters + backend/engine/optimizer/kernel summaries);
+  (per-operator counters + engine/optimizer/kernel summaries);
 * ``relation``   — a bag of tuples (query results on the wire);
 * ``mutation``   — per-relation inserted/deleted rows (``[row, count]``
   pairs), the body of ``POST /v1/databases/{name}/mutate``;
@@ -422,8 +422,10 @@ def metrics_to_json(metrics: ExecutionMetrics) -> dict:
     body = {
         "operators": operators,
         "wall_seconds": metrics.wall_seconds,
-        "backend": metrics.backend,
-        "workers": metrics.workers,
+        # Format-2 readers require these two fields; execution always runs
+        # in the calling process.
+        "backend": "serial",
+        "workers": 1,
         "optimizer": metrics.optimizer,
         "engine": metrics.engine,
         "kernels": metrics.kernels,
@@ -436,8 +438,6 @@ def metrics_from_json(data: dict) -> ExecutionMetrics:
     check_envelope(data, "metrics")
     metrics = ExecutionMetrics(
         wall_seconds=data["wall_seconds"],
-        backend=data["backend"],
-        workers=data["workers"],
         optimizer=data["optimizer"],
         engine=data.get("engine", "row"),
         kernels=data.get("kernels"),

@@ -132,6 +132,19 @@ class TestErrorMapping:
         assert status == 400
         assert "unsupported wire format" in payload["error"]["message"]
 
+    def test_invalid_option_400(self, server):
+        document = {"format": 2, "kind": "explain-request", "scenario": "Q1",
+                    "scale": 5, "options": {"max_sas": "5"}}
+        status, payload = _post_raw(server, "/v1/explain", json.dumps(document).encode())
+        assert status == 400
+        assert payload["error"]["type"] == "BadRequest"
+
+    def test_too_many_alternatives_400(self, client):
+        with pytest.raises(ApiError) as excinfo:
+            client.explain(scenario="Q4", scale=5, options=ExplainOptions(max_sas=1))
+        assert excinfo.value.status == 400
+        assert "reduce the alternative groups" in str(excinfo.value)
+
     def test_empty_body_400(self, server):
         status, payload = _post_raw(server, "/v1/explain", b"")
         assert status == 400

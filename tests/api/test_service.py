@@ -97,6 +97,65 @@ class TestValidation:
         with pytest.raises(BadRequest, match="unknown option"):
             ExplainOptions.from_json({"backend": "serial", "typo": 1})
 
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"max_sas": "5"}, "max_sas"),
+            ({"max_sas": 0}, "max_sas"),
+            ({"max_sas": True}, "max_sas"),
+            ({"partitions": 0}, "partitions"),
+            ({"partitions": 2.5}, "partitions"),
+            ({"revalidate": "no"}, "revalidate"),
+            ({"use_schema_alternatives": None}, "use_schema_alternatives"),
+            ({"optimize": 1}, "optimize"),
+            ({"engine": "vectorized"}, "engine"),
+            ({"backend": "threads"}, "backend"),
+            ({"workers": 0}, "workers"),
+            ({"workers": "4"}, "workers"),
+            ([], "JSON object"),
+        ],
+    )
+    def test_invalid_options_rejected(self, options, match):
+        document = {"format": 2, "kind": "explain-request", "scenario": "Q1",
+                    "scale": 5, "options": options}
+        with pytest.raises(BadRequest, match=match):
+            ExplanationService().explain(ExplainRequest.from_json(document))
+
+    def test_legacy_and_null_options_accepted(self):
+        options = ExplainOptions.from_json(
+            {"backend": "process", "workers": 4, "max_sas": None, "partitions": None}
+        )
+        assert options == ExplainOptions()
+        assert "backend" not in options.to_json()
+        assert ExplainOptions.from_json({"backend": None, "workers": None}) == ExplainOptions()
+
+    def test_too_many_alternatives_is_a_client_error(self):
+        from repro.api.service import CLIENT_ERRORS
+        from repro.whynot.alternatives import TooManyAlternatives
+
+        request = ExplainRequest(scenario="Q4", scale=5, options=ExplainOptions(max_sas=1))
+        with pytest.raises(TooManyAlternatives) as excinfo:
+            ExplanationService().explain(request)
+        assert isinstance(excinfo.value, CLIENT_ERRORS)
+
+    def test_legacy_backend_options_answer_like_plain_request(self):
+        """The ``docs/API.md`` request still answers, identically, with the
+        retired ``backend``/``workers`` options attached."""
+        from repro.api.sharded import routing_key
+
+        plain = {"format": 2, "kind": "explain-request", "scenario": "Q10", "scale": 60}
+        legacy = dict(plain, options={"backend": "process", "workers": 4})
+        service = ExplanationService()
+
+        def answer(document):
+            response = service.explain(ExplainRequest.from_json(document), use_cache=False)
+            payload = response.to_json()
+            payload["result"]["timings"] = None
+            return payload
+
+        assert answer(legacy) == answer(plain)
+        assert routing_key(legacy) == routing_key(plain)
+
     def test_prepare_validates(self, running_question):
         service = ExplanationService()
         question, alternatives, key = service.prepare(_request(running_question))
@@ -124,7 +183,7 @@ class TestCache:
         assert service.cache_stats() == {"hits": 0, "misses": 0, "size": 0}
 
     def test_execution_knobs_share_cache_entries(self, running_question):
-        # backend/partitions/optimize don't change explanations (equivalence
+        # partitions/optimize/engine don't change explanations (equivalence
         # guarantees), so they share one cache entry.
         service = ExplanationService(cache_size=4)
         service.explain(_request(running_question))
@@ -232,3 +291,15 @@ class TestRequestWire:
         assert document["format"] == 2 and document["kind"] == "explain-response"
         assert document["result"]["kind"] == "result"
         assert document["cached"] is False
+
+
+class TestQuery:
+    def test_query_falls_back_to_service_default_partitions(
+        self, person_db, running_query
+    ):
+        service = ExplanationService(options=ExplainOptions(partitions=2))
+        bag, metrics = service.query(running_query, person_db, ExplainOptions())
+        assert bag == running_query.evaluate(person_db)
+        assert {m.partitions for m in metrics.operators.values()} == {2}
+        _, explicit = service.query(running_query, person_db, ExplainOptions(partitions=3))
+        assert {m.partitions for m in explicit.operators.values()} == {3}

@@ -82,7 +82,7 @@ class TestRoutingKey:
     @pytest.mark.parametrize(
         "options",
         [
-            ExplainOptions(backend="process", workers=2),
+            ExplainOptions(optimize=False, engine="row"),
             ExplainOptions(optimize=True),
             ExplainOptions(engine="columnar"),
             ExplainOptions(partitions=7),
@@ -119,6 +119,27 @@ class TestRoutingKey:
 
         assert routing_key(doc(3)) != routing_key(doc(7))
         assert routing_key(doc(3)) == routing_key(doc(3))
+
+
+class TestJobErrors:
+    """Worker-side error mapping, exercised without spawning a worker."""
+
+    def _explain(self, options):
+        from repro.api.sharded import _handle_job
+
+        document = ExplainRequest(scenario="Q4", scale=5).to_json()
+        document["options"] = options
+        return _handle_job(ExplanationService(), "explain", document)
+
+    def test_too_many_alternatives_400(self):
+        status, payload = self._explain({"max_sas": 1})
+        assert status == 400
+        assert payload["error"]["type"] == "TooManyAlternatives"
+
+    def test_invalid_option_400(self):
+        status, payload = self._explain({"revalidate": "no"})
+        assert status == 400
+        assert payload["error"]["type"] == "BadRequest"
 
 
 class TestShardedConfig:

@@ -220,20 +220,3 @@ class TestClientRetries:
         # above); with retries every request eventually lands.
         with ThreadPoolExecutor(max_workers=6) as pool:
             assert all(pool.map(fire, range(6)))
-
-
-class TestWorkerBackendDefault:
-    def test_worker_ignores_process_backend_env(self, boot_server, monkeypatch):
-        # Shard workers default to serial evaluation even when the
-        # environment asks for the process backend: nesting a process pool
-        # inside a forked, threaded worker deadlocks, and the front end's
-        # scaling axis is --processes.  The env var is set before boot so
-        # the forked worker inherits it; a bounded request_timeout turns a
-        # regression into a fast 503 instead of a hung test.
-        monkeypatch.setenv("REPRO_BACKEND", "process")
-        monkeypatch.setenv("REPRO_WORKERS", "2")
-        server, client = boot_server(
-            processes=1, cache_size=8, request_timeout=20.0
-        )
-        response = client.explain(scenario="Q1", scale=20)
-        assert response.explanation_sets()

@@ -129,17 +129,3 @@ class TestCanonicalFormMutations:
         assert evaluator.update(v1) == query.evaluate(v1)
         assert len(evaluator.result()) == 0
         assert evaluator.last_stats["mode"] == "delta"
-
-
-class TestBackends:
-    def test_process_backend_matches_serial(self):
-        scenario = get_scenario("Q3")
-        db = scenario.make_db(15)
-        query = scenario.make_query()
-        serial = DeltaEvaluator(query, db, num_partitions=3, backend="serial")
-        process = DeltaEvaluator(
-            query, db, num_partitions=3, backend="process", workers=2
-        )
-        table = sorted(serial.reads)[0]
-        version = db.apply_mutations(deletes={table: [_first_row(db, table)]})
-        assert serial.update(version) == process.update(version)

@@ -24,9 +24,9 @@ from repro.algebra.operators import (
 )
 from repro.engine.columnar import (
     default_engine,
+    kernel_chain,
     new_kernel_info,
     resolve_engine,
-    task_kernel_chain,
 )
 from repro.engine.database import Database
 from repro.engine.executor import Executor
@@ -229,45 +229,44 @@ def test_failed_build_negative_cached(monkeypatch):
 
 
 def test_task_chain_falls_back_and_matches(monkeypatch):
-    """kchain ≡ chain even when kernels cannot run (empty/mixed partitions)."""
-    from repro.engine.backends import WorkerState
-
+    """kernel_chain ≡ row_chain even when kernels cannot run (empty/mixed
+    partitions)."""
     db = make_db()
     query = Query(Selection(TableAccess("R"), col("v").ge(4)))
-    state = WorkerState(query, db)
-    op_ids = (query.root.op_id,)
+    ops, ctx = _chain_parts(query, db)
     rows = list(db.relation("R"))
 
-    out, stats, info = task_kernel_chain(state, op_ids, rows)
+    info = new_kernel_info()
+    out, stats = kernel_chain(ops, rows, ctx, {}, info)
     assert Bag(out) == query.evaluate(db)
     assert info["fallbacks"] == 0
 
     # Empty partitions always use the row path (schema errors must surface)
     # but are not counted as fallbacks — there was nothing to vectorize.
-    out, stats, info = task_kernel_chain(state, op_ids, [])
+    info = new_kernel_info()
+    out, stats = kernel_chain(ops, [], ctx, {}, info)
     assert out == [] and info["fallbacks"] == 0
     assert info["hits"] == 0 and info["misses"] == 0
 
     # Mixed layouts cannot be batched into columns.
     mixed = rows + [Tup(k=0, v=99)]
-    out, stats, info = task_kernel_chain(state, op_ids, mixed)
+    info = new_kernel_info()
+    out, stats = kernel_chain(ops, mixed, ctx, {}, info)
     assert info["fallbacks"] == 1
     assert Bag(out) == Bag([t for t in mixed if t["v"] >= 4])
 
 
 def test_kernel_error_parity_with_row_path():
     """Fallbacks reproduce the row path's exact error type and message."""
-    from repro.engine.backends import WorkerState
-
     db = make_db()
     # Flattening an attribute that is not a nested relation fails at runtime;
     # the kernel must surface the same KeyError text via the row-path rerun.
     query = Query(RelationFlatten(TableAccess("R"), "missing", alias="x"))
     with pytest.raises(Exception) as row_err:
         query.evaluate(db)
-    state = WorkerState(query, db)
     with pytest.raises(Exception) as kernel_err:
-        task_kernel_chain(state, (query.root.op_id,), list(db.relation("R")))
+        ops, ctx = _chain_parts(query, db)
+        kernel_chain(ops, list(db.relation("R")), ctx, {}, new_kernel_info())
     assert type(kernel_err.value) is type(row_err.value)
     assert str(kernel_err.value) == str(row_err.value)
 

@@ -2,8 +2,8 @@
 
 The satellite requirement: factory corpora must survive the differential
 oracle exactly like hand-built scenarios — ``Query.evaluate`` vs the
-partitioned executor across serial×process backends, row×columnar engines
-and 1/3/7 partitions, plus the explanation differential on the why-not
+partitioned executor across row×columnar engines, optimizer on/off and
+1/3/7 partitions, plus the explanation differential on the why-not
 question.  Any divergence is a real engine bug, not a flaky benchmark.
 """
 
@@ -21,8 +21,6 @@ def test_generated_scenario_survives_executor_grid(family):
         bundle.query,
         question=bundle.question(),
         partitions=(1, 3, 7),
-        backends=("serial", "process"),
         engines=("row", "columnar"),
-        workers=2,
     )
     assert report.ok, [d.describe() for d in report.divergences]

@@ -1,7 +1,6 @@
 """Tier-1 mutation fuzzing: generator validity and a seeded mini sweep.
 
-The full randomized gate (150+ cases over serial+process backends and both
-engines) runs as ``python -m repro fuzz --mutations`` in the CI ``mutate``
+The full randomized gate (150+ cases over both engines) runs as ``python -m repro fuzz --mutations`` in the CI ``mutate``
 job; tier-1 keeps a small deterministic slice plus property checks on the
 mutation generator itself: generated mutations must always apply cleanly
 (valid by construction), canonical-form variants must stay canonically
@@ -79,7 +78,6 @@ class TestMiniSweep:
             cases=3,
             config=_config(),
             steps=2,
-            backends=("serial",),
             engines=("row",),
         )
         first = run_mutation_sweep(**kwargs)
@@ -98,7 +96,6 @@ class TestMiniSweep:
             config=_config(),
             steps=2,
             questions=False,
-            backends=("serial",),
             engines=("columnar",),
         )
         assert result.ok

@@ -1,8 +1,9 @@
 """CLI behaviour: knob validation and the fuzz subcommand.
 
-Regression (fuzz PR): ``--workers 0`` / ``--partitions 0`` used to reach the
+Regression: ``--workers 0`` / ``--partitions 0`` used to reach the
 executor/pool constructors and die with a traceback; they must fail at
-argument parsing with a usage error (SystemExit 2) instead.
+argument parsing with a usage error (SystemExit 2) instead.  ``--workers``
+and ``--backend`` are no longer flags at all, so any value is a usage error.
 """
 
 import os
@@ -47,11 +48,27 @@ class TestKnobValidation:
         _usage_error(["table7", "--workers", "0"])
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "Q1", "--backend", "serial"],
+            ["run", "Q1", "--workers", "4"],
+            ["fuzz", "--backend", "serial"],
+            ["fuzz", "--workers", "2"],
+            ["serve", "--backend", "process"],
+            ["repl", "--workers", "1"],
+        ],
+    )
+    def test_removed_backend_flags_are_usage_errors(self, argv, capsys):
+        _usage_error(argv)
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "Traceback" not in err
+
 
 class TestFuzzCommand:
     def test_small_serial_sweep_exits_zero(self, capsys):
         code = main(
-            ["fuzz", "--seed", "4", "--cases", "5", "--backend", "serial"]
+            ["fuzz", "--seed", "4", "--cases", "5"]
         )
         out = capsys.readouterr().out
         assert code == 0
@@ -65,8 +82,6 @@ class TestFuzzCommand:
                 "1",
                 "--cases",
                 "3",
-                "--backend",
-                "serial",
                 "--partitions",
                 "2,5",
                 "--no-questions",
@@ -85,8 +100,6 @@ class TestFuzzCommand:
                 "2",
                 "--cases",
                 "3",
-                "--backend",
-                "serial",
                 "--no-questions",
                 "--corpus-dir",
                 str(corpus),

@@ -36,10 +36,11 @@ def test_docs_cover_readme_and_docs_dir():
     assert "docs/ARCHITECTURE.md" in names and "docs/BENCHMARKS.md" in names
 
 
-def test_readme_documents_backend_flags():
+def test_readme_documents_execution_flags():
     readme = (REPO_ROOT / "README.md").read_text()
-    assert "--backend process --workers 4" in readme
-    assert "REPRO_BACKEND" in readme
+    assert "--engine columnar" in readme
+    assert "serve --processes" in readme
+    assert "--backend" not in readme and "--workers" not in readme
 
 
 def test_readme_file_references_exist():

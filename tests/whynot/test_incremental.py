@@ -27,9 +27,7 @@ def _labels(result):
 
 
 def _scratch(query, db, nip):
-    return explain(
-        WhyNotQuestion(query, db, nip), backend="serial", optimize=False
-    )
+    return explain(WhyNotQuestion(query, db, nip), optimize=False)
 
 
 class TestScenarioEquivalence:

@@ -163,13 +163,16 @@ class TestRelationAndMetricsPayloads:
         assert relation_from_json(_wire_trip(relation_to_json(bag))) == bag
 
     def test_metrics_round_trip(self):
-        metrics = ExecutionMetrics(wall_seconds=1.25, backend="process", workers=4)
+        metrics = ExecutionMetrics(wall_seconds=1.25, engine="columnar")
         metrics.operators[3] = OperatorMetrics(
             op_id=3, label="σ3", rows_in=10, rows_out=4, shuffled_rows=10,
             partitions=3, tasks=3, wall_seconds=0.5, cpu_seconds=0.9, origins=(1, 2),
         )
-        restored = metrics_from_json(_wire_trip(metrics_to_json(metrics)))
-        assert restored.backend == "process" and restored.workers == 4
+        document = metrics_to_json(metrics)
+        # Wire format 2 still carries the retired backend fields.
+        assert document["backend"] == "serial" and document["workers"] == 1
+        restored = metrics_from_json(_wire_trip(document))
+        assert restored.engine == "columnar" and restored.wall_seconds == 1.25
         assert restored.operators[3].origins == (1, 2)
         assert restored.operators[3].rows_out == 4
 

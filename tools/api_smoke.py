@@ -234,7 +234,7 @@ def main() -> int:
             question.query, question.db, ExplainOptions(partitions=3)
         )
         assert bag == question.query.evaluate(question.db), "/v1/query result differs"
-        print(f"query ok: |result|={len(bag)} backend={metrics.backend}")
+        print(f"query ok: |result|={len(bag)} engine={metrics.engine}")
 
         registry_smoke(client)
     finally:

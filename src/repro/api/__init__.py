@@ -3,8 +3,9 @@
 Three pieces turn the in-process library into a serveable system:
 
 * :class:`ExplanationService` — a stateful server core owning a database
-  registry, request validation, a ``stable_hash``-keyed LRU result cache
-  (hit/miss counters surfaced in every response) and concurrent dispatch
+  registry, request validation, an LRU result cache keyed by a 128-bit
+  digest of the request (hit/miss counters surfaced in every response;
+  inline databases are decoded only on a miss) and concurrent dispatch
   (:mod:`repro.api.service`);
 * the HTTP front ends — ``python -m repro serve`` exposes
   ``POST /v1/explain``, ``POST /v1/query``, ``GET /v1/scenarios``,
@@ -32,6 +33,7 @@ from repro.api.service import (
     ExplainRequest,
     ExplainResponse,
     ExplanationService,
+    InlineDatabase,
     UnknownDatabase,
 )
 from repro.api.sharded import (
@@ -51,6 +53,7 @@ __all__ = [
     "ExplainRequest",
     "ExplainResponse",
     "ExplanationService",
+    "InlineDatabase",
     "Overloaded",
     "RemoteExplainResponse",
     "ShardDispatcher",

@@ -14,11 +14,14 @@ north star asks for.  It owns
 * **prepared questions** — every request is resolved and validated
   (Definition 5) before work is dispatched, so malformed or ill-posed
   questions fail fast with a typed error;
-* a **result cache** — an LRU keyed by
-  :func:`~repro.engine.hashing.stable_hash` over the request's canonical
-  wire encoding, with hit/miss counters surfaced in every response.  The
-  key covers everything that determines the *explanations* (query, NIP,
-  database content, alternatives, SA toggles); execution-only knobs
+* a **result cache** — an LRU keyed by a 128-bit blake2b digest
+  (:func:`~repro.wire.document_digest`) of the request's canonical wire
+  encoding, with hit/miss counters surfaced in every response.  An inline
+  database enters the key as the digest of its wire document, taken once
+  when the request is decoded; the database itself is decoded only on a
+  miss, so a hit costs that one pass and a lookup.  The key covers
+  everything that determines the *explanations* (query, NIP, database
+  content, alternatives, SA toggles); execution-only knobs
   (partitions, optimize, engine) are excluded because the engine's
   equivalence guarantees make results independent of them — the same cached
   entry serves all of them, and the differential fuzz oracle cross-checks
@@ -34,7 +37,6 @@ lifecycle, so existing callers and tests keep working unchanged.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -45,7 +47,6 @@ from repro.engine.columnar import ENGINE_NAMES
 from repro.engine.database import Database, Mutation
 from repro.engine.deltas import read_tables
 from repro.engine.executor import Executor
-from repro.engine.hashing import stable_hash
 from repro.engine.metrics import ExecutionMetrics
 from repro.nested.values import Bag
 from repro.whynot.alternatives import TooManyAlternatives
@@ -59,6 +60,7 @@ from repro.wire import (
     database_from_json,
     database_info_to_json,
     database_to_json,
+    document_digest,
     envelope,
     query_from_json,
     query_to_json,
@@ -219,14 +221,44 @@ class ExplainOptions:
         return cls(**fields)
 
 
+class InlineDatabase:
+    """An inline ``database`` wire document, kept as received.
+
+    The envelope is checked up front; ``digest`` is the document's
+    :func:`~repro.wire.document_digest`, the database part of the cache
+    key.  :meth:`decode` builds the :class:`Database` on its first call and
+    returns that same object afterwards, so a request whose answer is
+    cached never decodes it.
+    """
+
+    __slots__ = ("document", "digest", "_db", "_lock")
+
+    def __init__(self, document: dict):
+        self.document = check_envelope(document, "database")
+        self.digest = document_digest(document)
+        self._db: Optional[Database] = None
+        self._lock = threading.Lock()
+
+    def decode(self) -> Database:
+        """The decoded database (:class:`BadRequest` for an ill-typed body)."""
+        with self._lock:
+            if self._db is None:
+                try:
+                    self._db = database_from_json(self.document)
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise BadRequest(f"invalid inline database: {exc!r}") from None
+            return self._db
+
+
 @dataclass
 class ExplainRequest:
     """One why-not request: ⟨Q, D, t⟩ plus alternatives and options.
 
     Three forms are accepted:
 
-    * **explicit** — ``query`` + ``nip`` + ``database`` (a registered name
-      or an inline :class:`Database`);
+    * **explicit** — ``query`` + ``nip`` + ``database`` (a registered name,
+      an inline :class:`Database`, or an :class:`InlineDatabase` — the form
+      :meth:`from_json` produces for an inline wire document);
     * **textual** — ``text`` (an ``.rq`` program with a ``whynot`` block;
       grammar: ``docs/LANGUAGE.md``) + ``database``: the server parses,
       validates and lowers the program, taking query, NIP and attribute
@@ -238,7 +270,7 @@ class ExplainRequest:
 
     query: Optional[Any] = None
     nip: Any = None
-    database: "str | Database | None" = None
+    database: "str | Database | InlineDatabase | None" = None
     alternatives: Sequence[Sequence[str]] = ()
     options: ExplainOptions = field(default_factory=ExplainOptions)
     name: str = ""
@@ -250,8 +282,16 @@ class ExplainRequest:
     #: :class:`SatisfiedResponse` instead of raising ``IllPosedQuestion``.
     satisfied_ok: bool = False
 
+    def _database_json(self) -> "str | dict":
+        if isinstance(self.database, str):
+            return self.database
+        if isinstance(self.database, InlineDatabase):
+            return self.database.document
+        return database_to_json(self.database)
+
     def to_json(self) -> dict:
-        """Encode as an ``explain-request`` wire document."""
+        """Encode as an ``explain-request`` wire document (an inline
+        database document from :meth:`from_json` is re-emitted unchanged)."""
         body: dict = {"options": self.options.to_json(), "name": self.name}
         if self.satisfied_ok:
             body["satisfied_ok"] = True
@@ -259,11 +299,7 @@ class ExplainRequest:
             if self.database is None:
                 raise BadRequest("text request needs a database (name or inline)")
             body["text"] = self.text
-            body["database"] = (
-                self.database
-                if isinstance(self.database, str)
-                else database_to_json(self.database)
-            )
+            body["database"] = self._database_json()
         elif self.scenario is not None:
             body["scenario"] = self.scenario
             if self.scale is not None:
@@ -276,16 +312,17 @@ class ExplainRequest:
             body["query"] = query_to_json(self.query)
             body["nip"] = value_to_json(self.nip)
             body["alternatives"] = alternatives_to_json(self.alternatives)
-            body["database"] = (
-                self.database
-                if isinstance(self.database, str)
-                else database_to_json(self.database)
-            )
+            body["database"] = self._database_json()
         return envelope("explain-request", body)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExplainRequest":
-        """Decode :meth:`to_json` output (databases stay name refs/inline)."""
+        """Decode :meth:`to_json` output.
+
+        A database stays a name reference or becomes an
+        :class:`InlineDatabase`: its envelope is checked and its digest
+        taken here, but it is decoded only when a cache miss needs it.
+        """
         check_envelope(data, "explain-request")
         options = ExplainOptions.from_json(data.get("options"))
         satisfied_ok = bool(data.get("satisfied_ok", False))
@@ -297,11 +334,7 @@ class ExplainRequest:
                 raise BadRequest("text request needs a database (name or inline)")
             return cls(
                 text=data["text"],
-                database=(
-                    db_field
-                    if isinstance(db_field, str)
-                    else database_from_json(db_field)
-                ),
+                database=db_field if isinstance(db_field, str) else InlineDatabase(db_field),
                 options=options,
                 name=data.get("name", ""),
                 satisfied_ok=satisfied_ok,
@@ -320,7 +353,7 @@ class ExplainRequest:
             db_field = data["database"]
         except KeyError as exc:
             raise BadRequest(f"explain-request is missing field {exc}") from None
-        database = db_field if isinstance(db_field, str) else database_from_json(db_field)
+        database = db_field if isinstance(db_field, str) else InlineDatabase(db_field)
         return cls(
             query=query,
             nip=nip,
@@ -527,25 +560,39 @@ class ExplanationService:
         :class:`~repro.whynot.question.IllPosedQuestion` when the "missing"
         answer is already present (Definition 5).
         """
-        question, alternatives, key = self._resolve(request)
+        key, build = self._resolve(request)
+        question, alternatives = build()
         question.validate()
         return question, alternatives, key
 
     def _resolve_database(self, request: ExplainRequest):
-        """Resolve the request's database field into ``(db, cache_token)``."""
-        if isinstance(request.database, str):
-            db = self.database(request.database)
+        """Resolve the request's database field into ``(load, cache_token)``.
+
+        ``load()`` returns the :class:`Database`.  The token never needs it
+        decoded: a name keys by its registration, an inline wire document by
+        the digest taken when the request was decoded.
+        """
+        database = request.database
+        if isinstance(database, str):
+            db = self.database(database)
             with self._lock:
-                token = self._databases[request.database][1]
+                token = self._databases[database][1]
             # The version-aware part of the key — the stamps of the relations
             # the query actually reads — is appended in ``_resolve`` once the
             # query is known.
-            return db, ("named", request.database, token)
-        db = request.database
-        return db, ("inline", database_to_json(db))
+            return (lambda: db), ("named", database, token)
+        if isinstance(database, InlineDatabase):
+            return database.decode, ("inline", database.digest)
+        return (lambda: database), ("inline", document_digest(database_to_json(database)))
 
     def _resolve(self, request: ExplainRequest):
-        """Build the question and its cache key without validating it."""
+        """The request's cache key and a thunk building ``(question, alternatives)``.
+
+        Nothing validates here.  The key is computed before any inline
+        database is decoded; the thunk decodes it, so only a cache miss pays
+        for that.  The ``.rq`` text path decodes first, because its compiler
+        needs the schemas.
+        """
         if request.options.summarize is not None:
             # Reject malformed summarize specs before any cache or engine
             # work — resolution is repeated (cheaply) after the explain run.
@@ -558,16 +605,14 @@ class ExplanationService:
 
             if request.database is None:
                 raise BadRequest("text request needs a database (name or inline)")
-            db, cache_token = self._resolve_database(request)
-            lowered = compile_program(request.text, database=db)
+            load, cache_token = self._resolve_database(request)
+            lowered = compile_program(request.text, database=load())
             if not lowered.has_question:
                 raise BadRequest(
                     "the text program has no whynot block — use POST /v1/query "
                     "to evaluate a plain query"
                 )
-            question = WhyNotQuestion(
-                lowered.query, db, lowered.nip, name=request.name or lowered.name
-            )
+            query, nip, name = lowered.query, lowered.nip, request.name or lowered.name
             alternatives = list(lowered.alternatives)
         elif request.scenario is not None:
             from repro.scenarios import SCENARIOS, get_scenario
@@ -597,43 +642,39 @@ class ExplanationService:
                     self._scenario_dbs[(scenario.name, scale)] = entry
                     while len(self._scenario_dbs) > self._scenario_db_limit:
                         self._scenario_dbs.popitem(last=False)
-            question = WhyNotQuestion(
-                scenario.make_query(), entry, scenario.make_nip(), name=scenario.name
-            )
+            load = lambda: entry  # noqa: E731
+            query, nip, name = scenario.make_query(), scenario.make_nip(), scenario.name
             alternatives = list(scenario.alternatives)
         else:
             if request.query is None or request.nip is None or request.database is None:
                 raise BadRequest(
                     "request needs either a scenario name or query+nip+database"
                 )
-            db, cache_token = self._resolve_database(request)
-            question = WhyNotQuestion(
-                request.query, db, request.nip, name=request.name
-            )
+            load, cache_token = self._resolve_database(request)
+            query, nip, name = request.query, request.nip, request.name
             alternatives = list(request.alternatives)
         if cache_token[0] == "named":
             # Version-aware keys: fold in the stamps of exactly the relations
             # the query reads.  Mutating any *other* relation of the same
             # database (or any other database) leaves this key — and hence
             # the cached entry — valid and warm.
-            db = question.db
+            db = load()
             stamps = tuple(
-                (t, db.relation_stamp(t))
-                for t in sorted(read_tables(question.query))
-                if t in db
+                (t, db.relation_stamp(t)) for t in sorted(read_tables(query)) if t in db
             )
             if not stamps:  # no reads resolved: be conservative, pin the version
                 stamps = (("*", (db.version_id, db.version)),)
             cache_token = cache_token + (stamps,)
-        key_doc = {
-            "db": cache_token,
-            "query": query_to_json(question.query),
-            "nip": value_to_json(question.nip),
-            "alternatives": alternatives_to_json(alternatives),
-            "options": request.options.semantic_fields(),
-        }
-        key = stable_hash(json.dumps(key_doc, sort_keys=True, ensure_ascii=True))
-        return question, alternatives, key
+        key = document_digest(
+            {
+                "db": cache_token,
+                "query": query_to_json(query),
+                "nip": value_to_json(nip),
+                "alternatives": alternatives_to_json(alternatives),
+                "options": request.options.semantic_fields(),
+            }
+        )
+        return key, lambda: (WhyNotQuestion(query, load(), nip, name=name), alternatives)
 
     def explain(
         self, request: ExplainRequest, use_cache: bool = True
@@ -644,7 +685,7 @@ class ExplanationService:
         is already present returns a :class:`SatisfiedResponse` instead of
         raising ``IllPosedQuestion`` (satisfied answers are never cached).
         """
-        question, alternatives, key = self._resolve(request)
+        key, build = self._resolve(request)
         if use_cache and self.cache_size > 0:
             with self._lock:
                 cached = self._cache.get(key)
@@ -653,6 +694,7 @@ class ExplanationService:
                     self.hits += 1
                     return ExplainResponse(cached, True, self._stats_locked())
                 self.misses += 1
+        question, alternatives = build()
         try:
             question.validate()
         except IllPosedQuestion:

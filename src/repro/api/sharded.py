@@ -10,9 +10,10 @@ the stdlib-only contract:
   LRU result cache) and exchanges length-delimited pickled messages with
   the front end over a :func:`multiprocessing.Pipe`.
 * **Consistent-hash routing** — every ``POST /v1/explain`` / ``/v1/query``
-  document is reduced to a :func:`routing_key` (a
-  :func:`~repro.engine.hashing.stable_hash` of the canonical document with
-  display-only and execution-only fields stripped) and dispatched to
+  document is reduced to a :func:`routing_key` (a 128-bit blake2b
+  :func:`~repro.wire.document_digest` of the canonical document with
+  display-only and execution-only fields stripped, and an inline database
+  digested once in place of its rows) and dispatched to
   ``workers[key % N]``.  Identical questions therefore always land on the
   same worker, so its LRU cache sees every repeat — cache capacity shards
   across processes instead of being duplicated.
@@ -46,7 +47,6 @@ saturation behaviour); ``benchmarks/serve_load.py`` records throughput in
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import queue
@@ -76,10 +76,10 @@ from repro.api.service import (
     scenarios_listing,
 )
 from repro.api.stats import LatencyWindow, ServingCounters
-from repro.engine.hashing import stable_hash
 from repro.wire import (
     WIRE_VERSION,
     database_from_json,
+    document_digest,
     mutation_from_json,
     serving_stats_to_json,
 )
@@ -139,19 +139,22 @@ class ShardedConfig:
 def routing_key(document: dict) -> int:
     """The shard/coalescing key of one ``/v1`` request document.
 
-    Canonicalizes the parsed JSON document (sorted keys), strips the
-    display-only ``name``, the legacy ``backend``/``workers`` options and —
-    for explain requests — every execution-only option (the engine's
-    equivalence guarantees make results independent of them), then applies
-    :func:`~repro.engine.hashing.stable_hash`.  An ``options`` object left
-    empty is dropped, so it keys like a request without one.  Two requests
-    that must produce the same explanations therefore always get the same
-    key: they route to the same worker (cache locality) and coalesce when
-    concurrent.  Query requests keep their other options verbatim because
-    those execution knobs are visible in their metrics payload.
+    Strips the display-only ``name``, the legacy ``backend``/``workers``
+    options and — for explain requests — every execution-only option (the
+    engine's equivalence guarantees make results independent of them),
+    replaces an inline ``database`` object with its
+    :func:`~repro.wire.document_digest`, then digests the rest the same way.
+    An ``options`` object left empty is dropped, so it keys like a request
+    without one.  Two requests that must produce the same explanations
+    therefore always get the same key: they route to the same worker (cache
+    locality) and coalesce when concurrent.  Query requests keep their other
+    options verbatim because those execution knobs are visible in their
+    metrics payload.
     """
     doc = dict(document)
     doc.pop("name", None)
+    if isinstance(doc.get("database"), dict):
+        doc["database"] = document_digest(doc["database"])
     options = doc.get("options")
     if isinstance(options, dict):
         if doc.get("kind") == "explain-request":
@@ -163,7 +166,7 @@ def routing_key(document: dict) -> int:
             doc["options"] = options
         else:
             del doc["options"]
-    return stable_hash(json.dumps(doc, sort_keys=True, ensure_ascii=True))
+    return document_digest(doc)
 
 
 # -- worker process -----------------------------------------------------------

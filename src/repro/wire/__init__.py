@@ -45,6 +45,7 @@ from repro.wire.payloads import (
     database_info_from_json,
     database_info_to_json,
     database_to_json,
+    document_digest,
     envelope,
     hierarchy_from_json,
     hierarchy_to_json,
@@ -81,6 +82,7 @@ __all__ = [
     "query_from_json",
     "envelope",
     "check_envelope",
+    "document_digest",
     "database_to_json",
     "database_from_json",
     "database_info_to_json",

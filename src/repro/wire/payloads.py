@@ -37,6 +37,8 @@ The request/response envelopes of the serving layer (``explain-request`` /
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Any, Optional, Sequence
 
 from repro.engine.database import Database, Mutation
@@ -83,6 +85,18 @@ def check_envelope(data: Any, kind: Optional[str] = None) -> dict:
     if kind is not None and version >= 2 and data.get("kind") != kind:
         raise ValueError(f"expected a {kind!r} payload, got {data.get('kind')!r}")
     return data
+
+
+def document_digest(document: Any) -> int:
+    """The 128-bit content key of a JSON document.
+
+    blake2b-128 over the canonical encoding (sorted keys, ASCII), so
+    documents that are equal as parsed JSON get the same digest whatever
+    their key order or whitespace on the wire.  The serving layer keys its
+    result cache and its shard routes on it.
+    """
+    data = json.dumps(document, sort_keys=True, ensure_ascii=True).encode("ascii")
+    return int.from_bytes(hashlib.blake2b(data, digest_size=16).digest(), "big")
 
 
 # -- databases ----------------------------------------------------------------

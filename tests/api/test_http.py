@@ -4,6 +4,8 @@ Boots a real :class:`~repro.api.http.ApiServer` on an ephemeral port in a
 background thread and talks to it through :class:`repro.api.Client` — the
 same path a non-Python caller takes, minus the process boundary (the CI
 ``api`` job covers the subprocess variant via ``tools/api_smoke.py``).
+The bad-inline-database checks also boot the sharded front end, because
+both must map the same error the same way.
 """
 
 import json
@@ -148,3 +150,54 @@ class TestErrorMapping:
     def test_empty_body_400(self, server):
         status, payload = _post_raw(server, "/v1/explain", b"")
         assert status == 400
+
+
+@pytest.fixture(params=["serve", "serve --processes 2"])
+def fresh_server(request):
+    """A front end with a cold cache: in-process, or sharded over two workers."""
+    if request.param == "serve":
+        server = make_server(ExplanationService(cache_size=8))
+    else:
+        from repro.api.sharded import ShardedConfig, make_sharded_server
+
+        server = make_sharded_server(ShardedConfig(processes=2, cache_size=8))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    if request.param == "serve":
+        server.service.close()
+    else:
+        server.dispatcher.close()
+
+
+class TestBadInlineDatabase:
+    """An inline database whose envelope passes but whose rows are ill-typed
+    is decoded only on a miss — it must still answer a clean 400, cold or
+    after a valid request warmed the same question, on both front ends."""
+
+    def _post(self, server, document):
+        return _post_raw(server, "/v1/explain", json.dumps(document).encode())
+
+    def test_ill_typed_rows_400_cold_and_warm(self, fresh_server, running_question):
+        valid = ExplainRequest(
+            query=running_question.query,
+            nip=running_question.nip,
+            database=running_question.db,
+        ).to_json()
+        bad = json.loads(json.dumps(valid))
+        tables = bad["database"]["tables"]
+        tables["person"] = dict(tables["person"], rows=5)
+
+        status, cold = self._post(fresh_server, bad)
+        assert (status, cold["error"]["type"]) == (400, "BadRequest")
+        assert "invalid inline database" in cold["error"]["message"]
+
+        status, warmed = self._post(fresh_server, valid)
+        assert status == 200 and not warmed["cached"]
+        status, warm = self._post(fresh_server, bad)
+        assert (status, warm["error"]) == (400, cold["error"])
+        status, hit = self._post(fresh_server, valid)
+        assert status == 200 and hit["cached"]
+        assert hit["cache"]["hits"] == 1  # the bad requests never hit

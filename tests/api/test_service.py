@@ -230,6 +230,97 @@ class TestCache:
         assert service.cache_stats()["size"] == 0
         assert not service.explain(_request(running_question)).cached
 
+    def test_32bit_key_collision_is_not_a_hit(self, person_db, running_query):
+        """These two NIPs share a crc32 cache key (1641325997): under 32-bit
+        keys the second was answered from the first one's cached result."""
+        service = ExplanationService()
+        service.register_database("people", person_db)
+        for city in ("wunrmhczpspm", "toobxpfdwogy"):
+            nip = Tup(city=city, nList=Bag([ANY, STAR]))
+            response = service.explain(
+                ExplainRequest(query=running_query, nip=nip, database="people")
+            )
+            assert not response.cached
+            assert response.result.question.nip == nip
+
+    def test_inline_and_wire_database_share_a_key(self, running_question):
+        # An in-process Database keys by the digest of its wire document, so
+        # the same request over the wire is a hit.
+        service = ExplanationService(cache_size=4)
+        service.explain(_request(running_question))
+        response = service.explain(
+            ExplainRequest.from_json(_request(running_question).to_json())
+        )
+        assert response.cached
+
+
+@pytest.fixture
+def count_decodes(monkeypatch):
+    """Counts the service's ``database_from_json`` calls."""
+    import repro.api.service as service_module
+
+    calls = []
+    original = service_module.database_from_json
+
+    def counting(document):
+        calls.append(document)
+        return original(document)
+
+    monkeypatch.setattr(service_module, "database_from_json", counting)
+    return calls
+
+
+class TestInlineDatabaseDecode:
+    """An inline database is digested when the request is decoded, and
+    decoded only when a cache miss needs the data."""
+
+    def test_hit_does_not_decode(self, running_question, count_decodes):
+        service = ExplanationService(cache_size=4)
+        document = _request(running_question).to_json()
+        first = service.explain(ExplainRequest.from_json(document))
+        assert not first.cached and len(count_decodes) == 1
+        second = service.explain(ExplainRequest.from_json(document))
+        assert second.cached and len(count_decodes) == 1
+
+    def test_worker_hit_does_not_decode(self, running_question, count_decodes):
+        from repro.api.sharded import _handle_job
+
+        service = ExplanationService(cache_size=4)
+        document = _request(running_question).to_json()
+        status, first = _handle_job(service, "explain", document)
+        assert status == 200 and not first["cached"] and len(count_decodes) == 1
+        status, second = _handle_job(service, "explain", document)
+        assert status == 200 and second["cached"] and len(count_decodes) == 1
+
+    def test_decodes_at_most_once(self, running_question, count_decodes):
+        request = ExplainRequest.from_json(_request(running_question).to_json())
+        assert count_decodes == []
+        service = ExplanationService()
+        service.explain(request, use_cache=False)
+        service.explain(request, use_cache=False)
+        assert len(count_decodes) == 1
+
+    def test_to_json_re_emits_the_document(self, running_question):
+        document = _request(running_question, name="rt").to_json()
+        assert ExplainRequest.from_json(document).to_json() == document
+
+    def test_bad_envelope_is_rejected_eagerly(self, running_question):
+        document = _request(running_question).to_json()
+        document["database"] = dict(document["database"], kind="relation")
+        with pytest.raises(ValueError, match="'database' payload"):
+            ExplainRequest.from_json(document)
+
+    @pytest.mark.parametrize("rows", [5, [["x", "y"]], [[{"t": "nope"}, 1]]])
+    def test_ill_typed_rows_are_a_bad_request(self, running_question, rows):
+        document = _request(running_question).to_json()
+        tables = document["database"]["tables"]
+        tables["person"] = dict(tables["person"], rows=rows)
+        request = ExplainRequest.from_json(document)
+        service = ExplanationService()
+        with pytest.raises(BadRequest, match="invalid inline database"):
+            service.explain(request)
+        assert service.cache_stats()["hits"] == 0
+
 
 class TestScenarioShorthand:
     def test_matches_direct_run(self):

@@ -120,6 +120,42 @@ class TestRoutingKey:
         assert routing_key(doc(3)) != routing_key(doc(7))
         assert routing_key(doc(3)) == routing_key(doc(3))
 
+    def test_32bit_key_collision_splits_routing(self, running_query):
+        """These two NIPs share a crc32 routing key (668442878): under 32-bit
+        keys a concurrent second request coalesced onto the first one's
+        in-flight slot and was handed its response."""
+        from repro.nested.values import Bag, Tup
+        from repro.whynot.placeholders import ANY, STAR
+
+        def doc(city):
+            nip = Tup(city=city, nList=Bag([ANY, STAR]))
+            return ExplainRequest(query=running_query, nip=nip, database="people").to_json()
+
+        assert routing_key(doc("vvekwlpxlsfh")) != routing_key(doc("duxbdagnvvkn"))
+
+    def test_inline_database_routing(self, running_question):
+        """Inline rows are part of the key; the display name and execution
+        knobs are not."""
+
+        def doc(name="", options=None):
+            return ExplainRequest(
+                query=running_question.query,
+                nip=running_question.nip,
+                database=running_question.db,
+                options=options or ExplainOptions(),
+                name=name,
+            ).to_json()
+
+        base = doc()
+        edited = doc()
+        row = edited["database"]["tables"]["person"]["rows"][0][0]
+        assert row["tup"][0] == ["name", "Peter"]
+        row["tup"][0] = ["name", "Petra"]
+        assert routing_key(edited) != routing_key(base)
+        assert routing_key(doc(name="other")) == routing_key(base)
+        assert routing_key(doc(options=ExplainOptions(partitions=7))) == routing_key(base)
+        assert routing_key(doc(options=ExplainOptions(max_sas=7))) != routing_key(base)
+
 
 class TestJobErrors:
     """Worker-side error mapping, exercised without spawning a worker."""

@@ -1,9 +1,12 @@
-"""Shared benchmark harness (see DESIGN.md §4 for the experiment index).
+"""Shared benchmark harness (see docs/BENCHMARKS.md for the experiment index).
 
 The paper's 100–500 GB inputs become five row-count steps; the "Spark" line
 of Figures 8–10 becomes the plain engine execution of the unmodified query.
-Every benchmark writes the series it measures to ``benchmarks/results/`` so
-the figures/tables can be regenerated and compared against EXPERIMENTS.md.
+Every benchmark writes the series it measures to the git-ignored
+``benchmarks/.results/``, or, with ``REPRO_BENCH_WRITE=1``, over the tracked
+copies in ``benchmarks/results/``, so the figures/tables can be regenerated
+and compared with the paper's figures (docs/BENCHMARKS.md maps each bench
+file to the figure or table it reproduces).
 
 Machine-readable benchmark tracking
 -----------------------------------
@@ -51,7 +54,10 @@ from repro.whynot.explain import explain
 
 SCALE_STEPS = [20, 40, 60, 80, 100]
 
+#: The tracked results: committed series and the captured baselines.
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Where a run writes its series unless ``REPRO_BENCH_WRITE=1`` (git-ignored).
+LOCAL_RESULTS_DIR = Path(__file__).parent / ".results"
 
 
 def bench_optimize() -> bool:
@@ -74,14 +80,24 @@ def run_config() -> dict:
     return {"optimize": bench_optimize(), "engine": bench_engine()}
 
 
+def output_dir() -> Path:
+    """Where this run's series go: the tracked :data:`RESULTS_DIR` only when
+    ``REPRO_BENCH_WRITE=1``, else :data:`LOCAL_RESULTS_DIR`."""
+    if os.environ.get("REPRO_BENCH_WRITE", "").strip() == "1":
+        return RESULTS_DIR
+    return LOCAL_RESULTS_DIR
+
+
 def write_result(name: str, text: str) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    out = output_dir()
+    out.mkdir(exist_ok=True)
+    (out / f"{name}.txt").write_text(text)
 
 
 def write_json(name: str, payload: Any) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
+    out = output_dir()
+    out.mkdir(exist_ok=True)
+    (out / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_baseline(figure: str) -> Optional[dict]:

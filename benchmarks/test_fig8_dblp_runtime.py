@@ -23,7 +23,7 @@ def test_fig8_rp_runtime(benchmark, name):
 
 
 def test_fig8_series(benchmark):
-    """Regenerate the Figure 8 series (written to benchmarks/results/)."""
+    """Regenerate the Figure 8 series (written to benchmarks/.results/)."""
     blocks = benchmark.pedantic(_build_series, rounds=1, iterations=1)
     write_result("fig8_dblp_runtime", "\n".join(blocks))
 

@@ -51,10 +51,13 @@ from repro import __version__
 from repro.api.service import (
     API_VERSION,
     CLIENT_ERRORS,
+    BadRequest,
     ExplainOptions,
     ExplainRequest,
     ExplanationService,
+    InlineDatabase,
     UnknownDatabase,
+    request_database,
     scenarios_listing,
 )
 from repro.api.stats import ServingCounters
@@ -118,6 +121,10 @@ class JsonHandler(BaseHTTPRequestHandler):
     suppression) and ``max_body_bytes`` (request-body cap) attributes.
     """
 
+    #: The raw bytes behind the last :meth:`_read_body` document (the
+    #: sharded relay forwards them so a worker can skip re-reading them).
+    raw_body: bytes = b""
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Suppress per-request stderr noise unless the server is verbose."""
         if not getattr(self.server, "quiet", True):
@@ -147,7 +154,7 @@ class JsonHandler(BaseHTTPRequestHandler):
             raise ValueError("request body required")
         if length > limit:
             raise ValueError(f"request body exceeds {limit} bytes")
-        raw = self.rfile.read(length)
+        raw = self.raw_body = self.rfile.read(length)
         try:
             document = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -317,33 +324,31 @@ def run_query_document(service: ExplanationService, document: dict) -> dict:
 
     Shared by the in-process handler and the sharded workers
     (:mod:`repro.api.sharded`) so both front ends answer ``POST /v1/query``
-    identically.
+    identically.  An inline database — a wire document, or the relay's
+    ``(digest, raw body)`` pair — is decoded through
+    :meth:`InlineDatabase.decode`, the explain path's one decode.
     """
     check_envelope(document, "query-request")
     options = ExplainOptions.from_json(document.get("options"))
+    text = document.get("text")
     if "text" in document:
-        from repro.api.service import BadRequest
-        from repro.lang import compile_program
-
-        if not isinstance(document["text"], str):
+        if not isinstance(text, str):
             raise BadRequest("the 'text' field must be an .rq program string")
-        db_field = document.get("database")
-        if db_field is None:
+        if document.get("database") is None:
             raise BadRequest("text query-request needs a database (name or inline)")
-        database = (
-            service.database(db_field)
-            if isinstance(db_field, str)
-            else database_from_json(db_field)
-        )
-        # A trailing whynot block is legal and ignored here: /v1/query
-        # evaluates the query pipeline, /v1/explain answers the question.
-        query = compile_program(document["text"], database=database).query
     else:
         query = query_from_json(document["query"])
-        db_field = document["database"]
-        database = (
-            db_field if isinstance(db_field, str) else database_from_json(db_field)
-        )
+    database = request_database(document["database"])
+    if isinstance(database, InlineDatabase):
+        database = database.decode()
+    if text is not None:
+        from repro.lang import compile_program
+
+        if isinstance(database, str):
+            database = service.database(database)
+        # A trailing whynot block is legal and ignored here: /v1/query
+        # evaluates the query pipeline, /v1/explain answers the question.
+        query = compile_program(text, database=database).query
     result, metrics = service.query(query, database, options)
     return {
         "format": WIRE_VERSION,

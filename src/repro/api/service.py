@@ -18,8 +18,9 @@ north star asks for.  It owns
   (:func:`~repro.wire.document_digest`) of the request's canonical wire
   encoding, with hit/miss counters surfaced in every response.  An inline
   database enters the key as the digest of its wire document, taken once
-  when the request is decoded; the database itself is decoded only on a
-  miss, so a hit costs that one pass and a lookup.  The key covers
+  (in a sharded worker, by the relay, which forwards it with the raw
+  body); the database itself is decoded only on a miss, so a hit costs at
+  most that one pass and a lookup.  The key covers
   everything that determines the *explanations* (query, NIP, database
   content, alternatives, SA toggles); execution-only knobs
   (partitions, optimize, engine) are excluded because the engine's
@@ -37,6 +38,7 @@ lifecycle, so existing callers and tests keep working unchanged.
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -221,33 +223,74 @@ class ExplainOptions:
         return cls(**fields)
 
 
-class InlineDatabase:
-    """An inline ``database`` wire document, kept as received.
+def _database_envelope(document: Any) -> dict:
+    """*document* if it is a ``database`` wire document, else :class:`BadRequest`."""
+    try:
+        return check_envelope(document, "database")
+    except ValueError as exc:
+        raise BadRequest(f"invalid inline database: {exc}") from None
 
-    The envelope is checked up front; ``digest`` is the document's
-    :func:`~repro.wire.document_digest`, the database part of the cache
-    key.  :meth:`decode` builds the :class:`Database` on its first call and
+
+class InlineDatabase:
+    """An inline database, kept undecoded: its digest plus its source.
+
+    The source is the parsed ``database`` wire document, or the raw bytes
+    of the request body that carries it — the form a sharded worker gets,
+    together with the digest the relay took (:func:`repro.api.sharded.forward`).
+    ``digest`` is the document's :func:`~repro.wire.document_digest` either
+    way, the database part of the cache key; a parsed document's envelope
+    is checked up front and its digest taken when first asked for.
+    :meth:`decode` builds the :class:`Database` on its first call and
     returns that same object afterwards, so a request whose answer is
-    cached never decodes it.
+    cached never reads the database.
     """
 
-    __slots__ = ("document", "digest", "_db", "_lock")
+    __slots__ = ("source", "_digest", "_db", "_lock")
 
-    def __init__(self, document: dict):
-        self.document = check_envelope(document, "database")
-        self.digest = document_digest(document)
+    def __init__(self, source: "dict | bytes", digest: Optional[int] = None):
+        self.source = source if isinstance(source, bytes) else _database_envelope(source)
+        self._digest = digest
         self._db: Optional[Database] = None
         self._lock = threading.Lock()
+
+    @property
+    def digest(self) -> int:
+        """The database document's 128-bit digest (the cache-key part)."""
+        if self._digest is None:
+            self._digest = document_digest(self.source)
+        return self._digest
+
+    @property
+    def document(self) -> dict:
+        """The ``database`` wire document (a raw source is parsed per call)."""
+        if isinstance(self.source, bytes):
+            return json.loads(self.source)["database"]
+        return self.source
 
     def decode(self) -> Database:
         """The decoded database (:class:`BadRequest` for an ill-typed body)."""
         with self._lock:
             if self._db is None:
+                document = _database_envelope(self.document)
                 try:
-                    self._db = database_from_json(self.document)
+                    self._db = database_from_json(document)
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise BadRequest(f"invalid inline database: {exc!r}") from None
             return self._db
+
+
+def request_database(field: Any) -> "str | InlineDatabase":
+    """A request's ``database`` field: a registered name stays a name.
+
+    An inline wire document becomes an :class:`InlineDatabase`, and so does
+    the ``(digest, raw body)`` pair a sharded relay forwards in its place.
+    """
+    if isinstance(field, str):
+        return field
+    if isinstance(field, tuple):
+        digest, body = field
+        return InlineDatabase(body, digest)
+    return InlineDatabase(field)
 
 
 @dataclass
@@ -320,8 +363,9 @@ class ExplainRequest:
         """Decode :meth:`to_json` output.
 
         A database stays a name reference or becomes an
-        :class:`InlineDatabase`: its envelope is checked and its digest
-        taken here, but it is decoded only when a cache miss needs it.
+        :class:`InlineDatabase` (:func:`request_database`): its envelope is
+        checked here, but it is digested only when the cache key needs it
+        and decoded only when a cache miss does.
         """
         check_envelope(data, "explain-request")
         options = ExplainOptions.from_json(data.get("options"))
@@ -334,7 +378,7 @@ class ExplainRequest:
                 raise BadRequest("text request needs a database (name or inline)")
             return cls(
                 text=data["text"],
-                database=db_field if isinstance(db_field, str) else InlineDatabase(db_field),
+                database=request_database(db_field),
                 options=options,
                 name=data.get("name", ""),
                 satisfied_ok=satisfied_ok,
@@ -353,11 +397,10 @@ class ExplainRequest:
             db_field = data["database"]
         except KeyError as exc:
             raise BadRequest(f"explain-request is missing field {exc}") from None
-        database = db_field if isinstance(db_field, str) else InlineDatabase(db_field)
         return cls(
             query=query,
             nip=nip,
-            database=database,
+            database=request_database(db_field),
             alternatives=alternatives_from_json(data.get("alternatives")),
             options=options,
             name=data.get("name", ""),

@@ -7,16 +7,20 @@ the stdlib-only contract:
 * **Pre-forked workers** — the front end spawns ``processes`` worker
   processes up front; each owns a private
   :class:`~repro.api.service.ExplanationService` (registry, validation,
-  LRU result cache) and exchanges length-delimited pickled messages with
-  the front end over a :func:`multiprocessing.Pipe`.
+  LRU result cache) and exchanges pickled Python tuples with the front end
+  over a :func:`multiprocessing.Pipe`.  A job message carries the parsed
+  request document, except that an inline ``database`` object is replaced
+  by ``(digest, raw request body)`` (:func:`forward`): the worker keys its
+  cache on the relay's digest and parses the raw bytes only on a miss, so
+  an inline cache hit never reads the database in the worker.
 * **Consistent-hash routing** — every ``POST /v1/explain`` / ``/v1/query``
   document is reduced to a :func:`routing_key` (a 128-bit blake2b
   :func:`~repro.wire.document_digest` of the canonical document with
   display-only and execution-only fields stripped, and an inline database
-  digested once in place of its rows) and dispatched to
-  ``workers[key % N]``.  Identical questions therefore always land on the
-  same worker, so its LRU cache sees every repeat — cache capacity shards
-  across processes instead of being duplicated.
+  digested once in place of its rows — the same digest the job carries)
+  and dispatched to ``workers[key % N]``.  Identical questions therefore
+  always land on the same worker, so its LRU cache sees every repeat —
+  cache capacity shards across processes instead of being duplicated.
 * **Request coalescing** — identical in-flight documents share one
   computation: the first becomes the *leader*, duplicates attach to its
   pending slot and receive the leader's byte-identical response, counted
@@ -68,9 +72,11 @@ from repro.api.http import (
 from repro.api.service import (
     API_VERSION,
     CLIENT_ERRORS,
+    BadRequest,
     ExplainOptions,
     ExplainRequest,
     ExplanationService,
+    InlineDatabase,
     LEGACY_OPTION_FIELDS,
     UnknownDatabase,
     scenarios_listing,
@@ -143,7 +149,8 @@ def routing_key(document: dict) -> int:
     options and — for explain requests — every execution-only option (the
     engine's equivalence guarantees make results independent of them),
     replaces an inline ``database`` object with its
-    :func:`~repro.wire.document_digest`, then digests the rest the same way.
+    :func:`~repro.wire.document_digest` (a digest :func:`forward` already
+    put in its place stays as it is), then digests the rest the same way.
     An ``options`` object left empty is dropped, so it keys like a request
     without one.  Two requests that must produce the same explanations
     therefore always get the same key: they route to the same worker (cache
@@ -169,6 +176,28 @@ def routing_key(document: dict) -> int:
     return document_digest(doc)
 
 
+def forward(document: dict, body: bytes) -> "tuple[dict, dict]":
+    """Split one relayed request into ``(routing document, job document)``.
+
+    An inline ``database`` object whose envelope checks is digested here,
+    once.  The routing document carries that digest in its place (which
+    :func:`routing_key` keeps as it is, so the key does not change) and the
+    job document carries ``(digest, body)``, the raw request *body* it came
+    from: the worker keys its cache on the relay's digest and parses *body*
+    only on a miss (:class:`~repro.api.service.InlineDatabase`).  Any other
+    document is forwarded as it is, so the worker raises the error the
+    in-process front end would.
+    """
+    database = document.get("database")
+    if not isinstance(database, dict):
+        return document, document
+    try:
+        digest = InlineDatabase(database).digest
+    except BadRequest:
+        return document, document
+    return dict(document, database=digest), dict(document, database=(digest, body))
+
+
 # -- worker process -----------------------------------------------------------
 
 
@@ -177,6 +206,9 @@ def _handle_job(service: ExplanationService, kind: str, document: dict) -> "tupl
 
     Mirrors the in-process handler's error mapping exactly, so a sharded
     server is byte-compatible with the single-process one on every path.
+    *document* is a job document from :func:`forward`: an inline database
+    may arrive as ``(digest, raw body)``, which the service decodes only on
+    a cache miss.
     """
     try:
         if kind == "explain":
@@ -484,14 +516,19 @@ class ShardDispatcher:
 
     # -- request path ---------------------------------------------------------
 
-    def dispatch(self, kind: str, document: dict) -> "tuple[int, dict, Optional[dict]]":
+    def dispatch(
+        self, kind: str, document: dict, body: bytes
+    ) -> "tuple[int, dict, Optional[dict]]":
         """Route one request document; returns ``(status, body, headers)``.
 
-        Raises :class:`Overloaded` when the target worker is saturated.  A
-        worker crash or a request-timeout produce a ``503`` return (with
-        ``Retry-After``), never an exception or a hang.
+        *body* is the raw request the document was parsed from: an inline
+        database travels to the worker as its digest plus these bytes
+        (:func:`forward`).  Raises :class:`Overloaded` when the target
+        worker is saturated.  A worker crash or a request-timeout produce a
+        ``503`` return (with ``Retry-After``), never an exception or a hang.
         """
-        key = routing_key(document)
+        routed, job = forward(document, body)
+        key = routing_key(routed)
         leader = False
         worker = None
         request_id = None
@@ -519,7 +556,7 @@ class ShardDispatcher:
                 leader = True
         if leader:
             try:
-                worker.send(("job", request_id, kind, document))
+                worker.send(("job", request_id, kind, job))
             except (BrokenPipeError, OSError):
                 pass  # the reader thread sees EOF and fails the pending cleanly
         if not pending.event.wait(self.config.request_timeout):
@@ -932,7 +969,9 @@ class _ShardedHandler(JsonHandler):
             except ValueError as exc:
                 self._send_error_json(400, exc)
                 return
-            status, body, headers = self.server.dispatcher.dispatch(kind, document)
+            status, body, headers = self.server.dispatcher.dispatch(
+                kind, document, self.raw_body
+            )
             self._send_json(status, body, headers)
         except Overloaded as exc:
             self._send_error_json(503, exc, {"Retry-After": exc.retry_after})

@@ -10,7 +10,7 @@ at row-count scale:
 
 ``o_shippriority`` is a *string* ("0") rather than TPC-H's integer so that
 the Q4 schema alternative (swap with ``o_orderpriority``) is type-compatible
-— documented in DESIGN.md.
+— documented in docs/ARCHITECTURE.md §5, "Scenarios and baselines".
 
 Planted rows referenced by the scenarios are listed in ``TPCH_FACTS``.
 Dates are ISO strings (they compare lexicographically).

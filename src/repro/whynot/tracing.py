@@ -14,7 +14,7 @@ alternative Sᵢ:
 Instead of the paper's ever-widening annotation columns on Spark, each traced
 row carries one tuple per SA plus the flags created *at* the producing
 operator; per-operator snapshots with parent pointers give Algorithm 4 the
-same information (see DESIGN.md §5).
+same information (see docs/ARCHITECTURE.md §4, "Why-not pipeline").
 
 Work sharing across schema alternatives
 ---------------------------------------

@@ -201,3 +201,43 @@ class TestBadInlineDatabase:
         status, hit = self._post(fresh_server, valid)
         assert status == 200 and hit["cached"]
         assert hit["cache"]["hits"] == 1  # the bad requests never hit
+
+    def test_bad_envelope_400_cold_and_warm(self, fresh_server, running_question):
+        """A database document of the wrong kind is rejected before any
+        cache lookup, with the same ``BadRequest`` on both front ends."""
+        valid = ExplainRequest(
+            query=running_question.query,
+            nip=running_question.nip,
+            database=running_question.db,
+        ).to_json()
+        bad = json.loads(json.dumps(valid))
+        bad["database"]["kind"] = "relation"
+        expected = {
+            "type": "BadRequest",
+            "message": "invalid inline database: expected a 'database' payload, "
+            "got 'relation'",
+        }
+
+        status, cold = self._post(fresh_server, bad)
+        assert (status, cold["error"]) == (400, expected)
+        status, warmed = self._post(fresh_server, valid)
+        assert status == 200 and not warmed["cached"]
+        status, warm = self._post(fresh_server, bad)
+        assert (status, warm["error"]) == (400, expected)
+
+    def test_query_ill_typed_rows_400(self, fresh_server, running_query, person_db):
+        from repro.wire import database_to_json, query_to_json
+
+        database = database_to_json(person_db)
+        database["tables"]["person"]["rows"] = 5
+        document = {
+            "format": 2,
+            "kind": "query-request",
+            "query": query_to_json(running_query),
+            "database": database,
+        }
+        status, payload = _post_raw(
+            fresh_server, "/v1/query", json.dumps(document).encode()
+        )
+        assert (status, payload["error"]["type"]) == (400, "BadRequest")
+        assert "invalid inline database" in payload["error"]["message"]

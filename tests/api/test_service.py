@@ -1,5 +1,7 @@
 """ExplanationService behaviour: registry, validation, cache, dispatch."""
 
+import json
+
 import pytest
 
 from repro.api import (
@@ -320,6 +322,67 @@ class TestInlineDatabaseDecode:
         with pytest.raises(BadRequest, match="invalid inline database"):
             service.explain(request)
         assert service.cache_stats()["hits"] == 0
+
+    @staticmethod
+    def _forwarded(document):
+        """The job document a sharded relay sends for *document*."""
+        from repro.api.sharded import forward
+
+        body = json.dumps(document).encode("ascii")
+        return forward(json.loads(body), body)[1]
+
+    def test_forwarded_request_keys_like_from_json(self, running_question):
+        document = _request(running_question).to_json()
+        job = self._forwarded(document)
+        assert isinstance(job["database"], tuple)
+        service = ExplanationService()
+        key, _ = service._resolve(ExplainRequest.from_json(document))
+        forwarded_key, _ = service._resolve(ExplainRequest.from_json(job))
+        assert forwarded_key == key
+
+    def test_forwarded_hit_reads_nothing(
+        self, running_question, count_decodes, monkeypatch
+    ):
+        """A forwarded inline hit makes no digest of the database, no parse
+        of the body and no ``database_from_json`` call in the worker."""
+        import repro.api.service as service_module
+        from repro.api.sharded import _handle_job
+
+        document = _request(running_question).to_json()
+        job = self._forwarded(document)
+        service = ExplanationService(cache_size=4)
+        status, first = _handle_job(service, "explain", job)
+        assert status == 200 and not first["cached"] and len(count_decodes) == 1
+        # The miss decoded the raw body: the same answer as in process.
+        expected = ExplanationService().explain(_request(running_question)).to_json()
+        assert dict(first["result"], timings={}) == dict(expected["result"], timings={})
+
+        digested, parsed = [], []
+        digest, loads = service_module.document_digest, json.loads
+        monkeypatch.setattr(
+            service_module,
+            "document_digest",
+            lambda doc: digested.append(doc) or digest(doc),
+        )
+        monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(s) or loads(s, **kw))
+        status, second = _handle_job(service, "explain", job)
+        assert status == 200 and second["cached"]
+        assert [doc for doc in digested if doc == document["database"]] == []
+        assert parsed == [] and len(count_decodes) == 1
+
+    def test_forwarded_bad_envelope_is_the_same_bad_request(self, running_question):
+        """The worker re-checks the envelope of a raw body on decode."""
+        from repro.api.sharded import _handle_job
+
+        document = _request(running_question).to_json()
+        document["database"] = dict(document["database"], kind="relation")
+        with pytest.raises(BadRequest) as eager:
+            ExplainRequest.from_json(document)
+        body = json.dumps(document).encode("ascii")
+        job = dict(document, database=(12345, body))
+        status, payload = _handle_job(ExplanationService(), "explain", job)
+        assert status == 400
+        assert payload["error"] == {"type": "BadRequest", "message": str(eager.value)}
 
 
 class TestScenarioShorthand:

@@ -13,6 +13,7 @@ Fault injection (worker crash, saturation, timeouts) lives in
 
 import json
 import threading
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -155,6 +156,92 @@ class TestRoutingKey:
         assert routing_key(doc(name="other")) == routing_key(base)
         assert routing_key(doc(options=ExplainOptions(partitions=7))) == routing_key(base)
         assert routing_key(doc(options=ExplainOptions(max_sas=7))) != routing_key(base)
+
+
+class TestRelayForwarding:
+    """The relay reads an inline database once and the worker not at all on
+    a hit: the job carries the relay's digest and the raw body."""
+
+    def test_relay_parses_and_digests_once(
+        self, sharded_server, running_question, monkeypatch
+    ):
+        import repro.api.service as service_module
+        import repro.api.sharded as sharded_module
+
+        document = ExplainRequest(
+            query=running_question.query,
+            nip=running_question.nip,
+            database=running_question.db,
+            name="relay-once",
+        ).to_json()
+        body = json.dumps(document).encode("ascii")
+        parsed, digested = [], []
+        loads = json.loads
+
+        def counting_loads(s, **kwargs):
+            if s == body:
+                parsed.append(s)
+            return loads(s, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        for module in (service_module, sharded_module):
+            digest = module.document_digest
+            monkeypatch.setattr(
+                module,
+                "document_digest",
+                lambda doc, digest=digest: (
+                    digested.append(doc) if doc == document["database"] else None
+                ) or digest(doc),
+            )
+        host, port = sharded_server.server_address[:2]
+        url = f"http://{host}:{port}/v1/explain"
+        for _ in range(2):  # a miss or a hit, then certainly a hit
+            parsed.clear()
+            digested.clear()
+            request = urllib.request.Request(url, data=body, method="POST")
+            with urllib.request.urlopen(request, timeout=120) as response:
+                answer = loads(response.read())
+            assert (len(parsed), len(digested)) == (1, 1)
+        assert answer["cached"]
+
+    def test_forwarded_document_routes_like_the_original(self, running_question):
+        from repro.api.sharded import forward
+
+        document = ExplainRequest(
+            query=running_question.query,
+            nip=running_question.nip,
+            database=running_question.db,
+        ).to_json()
+        body = json.dumps(document).encode("ascii")
+        routed, job = forward(document, body)
+        assert routed["database"] == job["database"][0]
+        assert job["database"][1] is body
+        assert routing_key(routed) == routing_key(document)
+        # A name or a bad envelope is forwarded as it is.
+        named = dict(document, database="people")
+        assert forward(named, body) == (named, named)
+        bad = dict(document, database=dict(document["database"], kind="relation"))
+        assert forward(bad, body) == (bad, bad)
+
+    def test_query_jobs_take_the_same_shape(self, running_query, person_db):
+        from repro.api.http import run_query_document
+        from repro.api.sharded import _handle_job, forward
+        from repro.wire import database_to_json, query_to_json
+
+        document = {
+            "format": 2,
+            "kind": "query-request",
+            "query": query_to_json(running_query),
+            "database": database_to_json(person_db),
+            "options": ExplainOptions(partitions=3).to_json(),
+        }
+        body = json.dumps(document).encode("ascii")
+        _, job = forward(document, body)
+        assert isinstance(job["database"], tuple)
+        service = ExplanationService()
+        status, answer = _handle_job(service, "query", job)
+        assert status == 200
+        assert answer["result"] == run_query_document(service, document)["result"]
 
 
 class TestJobErrors:

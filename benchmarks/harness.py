@@ -3,10 +3,10 @@
 The paper's 100–500 GB inputs become five row-count steps; the "Spark" line
 of Figures 8–10 becomes the plain engine execution of the unmodified query.
 Every benchmark writes the series it measures to the git-ignored
-``benchmarks/.results/``, or, with ``REPRO_BENCH_WRITE=1``, over the tracked
-copies in ``benchmarks/results/``, so the figures/tables can be regenerated
-and compared with the paper's figures (docs/BENCHMARKS.md maps each bench
-file to the figure or table it reproduces).
+``benchmarks/.results/`` (copy them over ``benchmarks/results/`` to refresh
+the tracked copies), so the figures/tables can be regenerated and compared
+with the paper's figures (docs/BENCHMARKS.md maps each bench file to the
+figure or table it reproduces).
 
 Machine-readable benchmark tracking
 -----------------------------------
@@ -56,7 +56,7 @@ SCALE_STEPS = [20, 40, 60, 80, 100]
 
 #: The tracked results: committed series and the captured baselines.
 RESULTS_DIR = Path(__file__).parent / "results"
-#: Where a run writes its series unless ``REPRO_BENCH_WRITE=1`` (git-ignored).
+#: Where a run writes its series (git-ignored).
 LOCAL_RESULTS_DIR = Path(__file__).parent / ".results"
 
 
@@ -80,24 +80,14 @@ def run_config() -> dict:
     return {"optimize": bench_optimize(), "engine": bench_engine()}
 
 
-def output_dir() -> Path:
-    """Where this run's series go: the tracked :data:`RESULTS_DIR` only when
-    ``REPRO_BENCH_WRITE=1``, else :data:`LOCAL_RESULTS_DIR`."""
-    if os.environ.get("REPRO_BENCH_WRITE", "").strip() == "1":
-        return RESULTS_DIR
-    return LOCAL_RESULTS_DIR
-
-
 def write_result(name: str, text: str) -> None:
-    out = output_dir()
-    out.mkdir(exist_ok=True)
-    (out / f"{name}.txt").write_text(text)
+    LOCAL_RESULTS_DIR.mkdir(exist_ok=True)
+    (LOCAL_RESULTS_DIR / f"{name}.txt").write_text(text)
 
 
 def write_json(name: str, payload: Any) -> None:
-    out = output_dir()
-    out.mkdir(exist_ok=True)
-    (out / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
+    LOCAL_RESULTS_DIR.mkdir(exist_ok=True)
+    (LOCAL_RESULTS_DIR / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def load_baseline(figure: str) -> Optional[dict]:

@@ -121,10 +121,6 @@ class JsonHandler(BaseHTTPRequestHandler):
     suppression) and ``max_body_bytes`` (request-body cap) attributes.
     """
 
-    #: The raw bytes behind the last :meth:`_read_body` document (the
-    #: sharded relay forwards them so a worker can skip re-reading them).
-    raw_body: bytes = b""
-
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         """Suppress per-request stderr noise unless the server is verbose."""
         if not getattr(self.server, "quiet", True):
@@ -148,20 +144,26 @@ class JsonHandler(BaseHTTPRequestHandler):
         self._send_json(status, error_document(exc), headers)
 
     def _read_body(self) -> dict:
+        return self._read_body_bytes()[0]
+
+    def _read_body_bytes(self) -> "tuple[dict, bytes]":
+        """The request body's JSON object and the raw bytes it was parsed
+        from (the sharded relay forwards those so a worker can skip
+        re-reading an inline database)."""
         limit = getattr(self.server, "max_body_bytes", MAX_BODY_BYTES)
         length = int(self.headers.get("Content-Length") or 0)
         if length <= 0:
             raise ValueError("request body required")
         if length > limit:
             raise ValueError(f"request body exceeds {limit} bytes")
-        raw = self.raw_body = self.rfile.read(length)
+        raw = self.rfile.read(length)
         try:
             document = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(f"request body is not valid JSON: {exc}") from None
         if not isinstance(document, dict):
             raise ValueError("request body must be a JSON object")
-        return document
+        return document, raw
 
 
 class ApiServer(ThreadingHTTPServer):

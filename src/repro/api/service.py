@@ -238,17 +238,24 @@ class InlineDatabase:
     of the request body that carries it — the form a sharded worker gets,
     together with the digest the relay took (:func:`repro.api.sharded.forward`).
     ``digest`` is the document's :func:`~repro.wire.document_digest` either
-    way, the database part of the cache key; a parsed document's envelope
-    is checked up front and its digest taken when first asked for.
-    :meth:`decode` builds the :class:`Database` on its first call and
-    returns that same object afterwards, so a request whose answer is
-    cached never reads the database.
+    way, the database part of the cache key.  A parsed document's envelope
+    is checked up front and its digest taken when first asked for; raw
+    bytes come with the relay's digest (required), their envelope already
+    checked by the relay, and are parsed at most once, when the document is
+    first needed.  :meth:`decode` builds the :class:`Database` on its first
+    call and returns that same object afterwards, so a request whose answer
+    is cached never reads the database.
     """
 
     __slots__ = ("source", "_digest", "_db", "_lock")
 
     def __init__(self, source: "dict | bytes", digest: Optional[int] = None):
-        self.source = source if isinstance(source, bytes) else _database_envelope(source)
+        if isinstance(source, bytes):
+            if digest is None:
+                raise TypeError("a raw-body InlineDatabase needs the relay's digest")
+        else:
+            source = _database_envelope(source)
+        self.source = source
         self._digest = digest
         self._db: Optional[Database] = None
         self._lock = threading.Lock()
@@ -262,18 +269,22 @@ class InlineDatabase:
 
     @property
     def document(self) -> dict:
-        """The ``database`` wire document (a raw source is parsed per call)."""
+        """The ``database`` wire document."""
+        with self._lock:
+            return self._document()
+
+    def _document(self) -> dict:
+        # Called under the lock: a raw source is parsed once and replaced.
         if isinstance(self.source, bytes):
-            return json.loads(self.source)["database"]
+            self.source = json.loads(self.source)["database"]
         return self.source
 
     def decode(self) -> Database:
         """The decoded database (:class:`BadRequest` for an ill-typed body)."""
         with self._lock:
             if self._db is None:
-                document = _database_envelope(self.document)
                 try:
-                    self._db = database_from_json(document)
+                    self._db = database_from_json(self._document())
                 except (AttributeError, KeyError, TypeError, ValueError) as exc:
                     raise BadRequest(f"invalid inline database: {exc!r}") from None
             return self._db

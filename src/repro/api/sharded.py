@@ -965,13 +965,11 @@ class _ShardedHandler(JsonHandler):
                                                 "message": f"no route {self.path}"}})
                 return
             try:
-                document = self._read_body()
+                document, raw = self._read_body_bytes()
             except ValueError as exc:
                 self._send_error_json(400, exc)
                 return
-            status, body, headers = self.server.dispatcher.dispatch(
-                kind, document, self.raw_body
-            )
+            status, body, headers = self.server.dispatcher.dispatch(kind, document, raw)
             self._send_json(status, body, headers)
         except Overloaded as exc:
             self._send_error_json(503, exc, {"Retry-After": exc.retry_after})

@@ -9,6 +9,7 @@ from repro.api import (
     ExplainOptions,
     ExplainRequest,
     ExplanationService,
+    InlineDatabase,
     UnknownDatabase,
 )
 from repro.nested.values import Bag, Tup
@@ -370,19 +371,20 @@ class TestInlineDatabaseDecode:
         assert [doc for doc in digested if doc == document["database"]] == []
         assert parsed == [] and len(count_decodes) == 1
 
-    def test_forwarded_bad_envelope_is_the_same_bad_request(self, running_question):
-        """The worker re-checks the envelope of a raw body on decode."""
-        from repro.api.sharded import _handle_job
-
+    def test_raw_body_needs_a_digest_and_parses_once(
+        self, running_question, monkeypatch
+    ):
         document = _request(running_question).to_json()
-        document["database"] = dict(document["database"], kind="relation")
-        with pytest.raises(BadRequest) as eager:
-            ExplainRequest.from_json(document)
         body = json.dumps(document).encode("ascii")
-        job = dict(document, database=(12345, body))
-        status, payload = _handle_job(ExplanationService(), "explain", job)
-        assert status == 400
-        assert payload["error"] == {"type": "BadRequest", "message": str(eager.value)}
+        with pytest.raises(TypeError, match="digest"):
+            InlineDatabase(body)
+        inline = InlineDatabase(body, 12345)
+        parsed, loads = [], json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(s) or loads(s, **kw))
+        assert inline.document == document["database"]
+        inline.decode()
+        assert inline.document == document["database"]
+        assert inline.digest == 12345 and len(parsed) == 1
 
 
 class TestScenarioShorthand:
